@@ -154,11 +154,7 @@ class SunwayCostModel:
         """
         if patch is None or task.mpe_action is None:
             return 0.0
-        cells = sum(
-            patch.ghost_region(axis, side).num_cells
-            for axis, side in grid.boundary_faces(patch)
-        )
-        return cells * self.sched.bc_s_per_cell
+        return grid.boundary_cells(patch) * self.sched.bc_s_per_cell
 
     # -- communication-side MPE work ----------------------------------------------
     def pack_time(self, ncells: int, remote: bool) -> float:

@@ -11,8 +11,48 @@ scope here (see DESIGN.md).
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.core.patch import Patch, Region, FACES
+
+
+class _PatchTable:
+    """Every patch of one grid, built once: the grid's immutable patch table.
+
+    Holds the :class:`Patch` objects in id order, a layout-index lookup,
+    and per patch (by id) its physical-boundary faces and the number of
+    one-deep ghost cells on those faces (the boundary-condition fill).
+    """
+
+    __slots__ = ("patches", "by_index", "boundary_faces", "boundary_cells")
+
+    def __init__(self, grid: "Grid"):
+        layout, ex = grid.layout, grid.patch_extent
+        patches: list[Patch] = []
+        for iz in range(layout[2]):
+            for iy in range(layout[1]):
+                for ix in range(layout[0]):
+                    index = (ix, iy, iz)
+                    low = tuple(index[a] * ex[a] for a in range(3))
+                    high = tuple(low[a] + ex[a] for a in range(3))
+                    # x-major loop order: the running count is the patch id
+                    patches.append(Patch(len(patches), index, Region(low, high)))
+        self.patches = tuple(patches)
+        self.by_index = {p.index: p for p in patches}
+        # a face is on the domain boundary iff stepping across it leaves
+        # the layout (exactly when ``Grid.neighbor`` returns None)
+        self.boundary_faces = tuple(
+            tuple(
+                (axis, side)
+                for axis, side in FACES
+                if not 0 <= p.index[axis] + side < layout[axis]
+            )
+            for p in patches
+        )
+        self.boundary_cells = tuple(
+            sum(p.ghost_region(axis, side).num_cells for axis, side in faces)
+            for p, faces in zip(patches, self.boundary_faces)
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,22 +127,23 @@ class Grid:
             raise IndexError(f"patch index {index} outside layout {self.layout}")
         return (iz * py + iy) * px + ix
 
+    @functools.cached_property
+    def _table(self) -> _PatchTable:
+        # built on first use and cached on the instance (not in a
+        # module-level cache), so it dies with the grid
+        return _PatchTable(self)
+
     def patch(self, index: tuple[int, int, int]) -> Patch:
-        """The patch at layout coordinates ``index``."""
-        ex = self.patch_extent
-        low = tuple(index[a] * ex[a] for a in range(3))
-        high = tuple(low[a] + ex[a] for a in range(3))
-        return Patch(self.patch_index_to_id(index), index, Region(low, high))  # type: ignore[arg-type]
+        """The patch at layout coordinates ``index`` (the same object every call)."""
+        try:
+            return self._table.by_index[index]
+        except (KeyError, TypeError):
+            # outside the layout (IndexError) or not a tuple: go by the id
+            return self._table.patches[self.patch_index_to_id(tuple(index))]
 
     def patches(self) -> list[Patch]:
-        """All patches, ordered by patch id."""
-        px, py, pz = self.layout
-        return [
-            self.patch((ix, iy, iz))
-            for iz in range(pz)
-            for iy in range(py)
-            for ix in range(px)
-        ]
+        """All patches, ordered by patch id (a fresh list over the table)."""
+        return list(self._table.patches)
 
     def neighbor(self, patch: Patch, axis: int, side: int) -> Patch | None:
         """The face neighbour of ``patch``, or None at the domain boundary."""
@@ -123,11 +164,11 @@ class Grid:
 
     def boundary_faces(self, patch: Patch) -> list[tuple[int, int]]:
         """Faces of ``patch`` lying on the physical domain boundary."""
-        return [
-            (axis, side)
-            for axis, side in FACES
-            if self.neighbor(patch, axis, side) is None
-        ]
+        return list(self._table.boundary_faces[self.patch(patch.index).patch_id])
+
+    def boundary_cells(self, patch: Patch) -> int:
+        """One-deep ghost cells on the faces of :meth:`boundary_faces`."""
+        return self._table.boundary_cells[self.patch(patch.index).patch_id]
 
     # -- bookkeeping used by the harness ------------------------------------------
     def memory_bytes(self, fields: int = 2, ghosts: int = 1, itemsize: int = 8) -> int:

@@ -41,11 +41,16 @@ class RankNoise:
 
     def __init__(self, model: NoiseModel, rank: int):
         self.model = model
-        self._rng = np.random.default_rng((model.seed, rank))
+        self.rank = rank
+        #: Seeded on the first draw: a quiet model never draws, and every
+        #: scheduler builds a stream (one per rank and graph).
+        self._rng: np.random.Generator | None = None
 
     def _factor(self, cv: float) -> float:
         if cv <= 0:
             return 1.0
+        if self._rng is None:
+            self._rng = np.random.default_rng((self.model.seed, self.rank))
         draw = abs(self._rng.normal(0.0, cv))
         return 1.0 + min(draw, 5.0 * cv)
 

@@ -14,6 +14,7 @@ boxes are half-open, ``low`` inclusive, ``high`` exclusive, per axis
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import typing as _t
 
@@ -35,12 +36,14 @@ class Region:
             if self.low[axis] > self.high[axis]:
                 raise ValueError(f"inverted region on axis {axis}: {self.low} .. {self.high}")
 
-    @property
+    # Geometry is computed on first use and cached on the instance: regions
+    # are immutable, and message sizes and pack costs read these every step.
+    @functools.cached_property
     def extent(self) -> tuple[int, int, int]:
         """Cells per axis."""
         return tuple(h - l for l, h in zip(self.low, self.high))  # type: ignore[return-value]
 
-    @property
+    @functools.cached_property
     def num_cells(self) -> int:
         """Total cells in the region."""
         ex, ey, ez = self.extent
@@ -97,12 +100,12 @@ class Patch:
         """Exclusive high cell corner."""
         return self.region.high
 
-    @property
+    @functools.cached_property
     def extent(self) -> tuple[int, int, int]:
         """Patch size in cells per axis."""
         return self.region.extent
 
-    @property
+    @functools.cached_property
     def num_cells(self) -> int:
         """Interior cells of the patch."""
         return self.region.num_cells

@@ -23,6 +23,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.core.schedulers.lifecycle import TaskState
+from repro.core.task import TaskKind
 from repro.des.resources import Store
 
 
@@ -62,9 +63,9 @@ class CPEBackend:
         for g in range(offload.num_groups):
             if g in offload.inflight:
                 continue
-            nxt = st.tracker.pop_ready(offload.is_offloadable, key=sched.select.key_fn)
-            if nxt is None:
+            if not st.tracker.has_ready(TaskKind.CPE_KERNEL):
                 break
+            nxt = st.tracker.pop_ready(kind=TaskKind.CPE_KERNEL, key=sched.select.key_fn)
             sched.lifecycle.transition(nxt, TaskState.DISPATCHED, backend="cpe")
             yield from sched._mpe("task-select", sched.costs.sched.task_select)
             if nxt.dt_id not in st.prepared:
@@ -86,9 +87,9 @@ class MPEBackend:
         return 1
 
     def run_kernels(self, sched, st, comm, offload) -> _t.Generator:
-        nxt = st.tracker.pop_ready(offload.is_offloadable, key=sched.select.key_fn)
-        if nxt is None:
+        if not st.tracker.has_ready(TaskKind.CPE_KERNEL):
             return False
+        nxt = st.tracker.pop_ready(kind=TaskKind.CPE_KERNEL, key=sched.select.key_fn)
         sched.lifecycle.transition(nxt, TaskState.DISPATCHED, backend="mpe")
         yield from sched._mpe("task-select", sched.costs.sched.task_select)
         if nxt.dt_id not in st.prepared:

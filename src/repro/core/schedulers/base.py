@@ -12,6 +12,7 @@ and the per-timestep orchestration; see ``docs/ARCHITECTURE.md``.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 from repro.core.schedulers.lifecycle import (
     RetryGovernor,
@@ -75,30 +76,56 @@ class SchedulerStats:
             setattr(self, field.name, getattr(self, field.name) + getattr(other, field.name))
 
 
+#: Queue key of ready entries without a ``.task`` (test stubs).
+_NO_KIND = object()
+
+
 class ReadinessTracker:
-    """Blocker counting for one timestep's local detailed tasks.
+    """Blocker counting and ready queues for one timestep's local tasks.
 
     A task becomes ready when its internal producers have completed,
     every incoming message has been unpacked, and every intra-rank ghost
     copy feeding it has been performed.  ``on_ready`` (optional) fires
     once per task the moment it enters the ready queue — the lifecycle
     layer uses it for the PENDING → READY transition.
+
+    Ready tasks wait in one queue per :class:`~repro.core.task.TaskKind`,
+    so a pop for one kind never looks at another kind's tasks.  Each entry
+    carries its arrival number; a pop without ``kind`` sees all queues
+    merged in arrival order, as one ready list.  ``len(tracker)`` is the
+    number of ready tasks.
     """
 
     def __init__(self, local_tasks, graph, on_ready=None):
         self.blockers: dict[int, int] = {}
-        self.ready: list = []
-        self._tasks = {dt.dt_id: dt for dt in local_tasks}
+        self._tasks: dict[int, object] = {}
+        self._queues: dict[object, list] = {}
+        #: dt_id -> queue key (the task's kind).
+        self._kind_of: dict[int, object] = {}
+        #: dt_id -> arrival number of its current queue entry.
+        self._order: dict[int, int] = {}
+        self._arrivals = 0
+        self._retries = 0
         self._on_ready = on_ready
         for dt in local_tasks:
+            kind = getattr(getattr(dt, "task", None), "kind", _NO_KIND)
+            self._tasks[dt.dt_id] = dt
+            self._kind_of[dt.dt_id] = kind
+            if kind not in self._queues:
+                self._queues[kind] = []
             n = len(graph.internal_deps[dt.dt_id])
             n += len(graph.recvs_for(dt))
             n += len(graph.copies_for(dt))
             self.blockers[dt.dt_id] = n
             if n == 0:
-                self.ready.append(dt)
-                if on_ready is not None:
-                    on_ready(dt)
+                self._enqueue(dt)
+
+    def _enqueue(self, dt) -> None:
+        self._order[dt.dt_id] = self._arrivals
+        self._arrivals += 1
+        self._queues[self._kind_of[dt.dt_id]].append(dt)
+        if self._on_ready is not None:
+            self._on_ready(dt)
 
     def release(self, dt_id: int) -> None:
         """One blocker of ``dt_id`` resolved; enqueue when count hits zero."""
@@ -106,37 +133,70 @@ class ReadinessTracker:
             return  # consumer lives on another rank
         self.blockers[dt_id] -= 1
         if self.blockers[dt_id] == 0:
-            dt = self._tasks[dt_id]
-            self.ready.append(dt)
-            if self._on_ready is not None:
-                self._on_ready(dt)
+            self._enqueue(self._tasks[dt_id])
         elif self.blockers[dt_id] < 0:
             raise RuntimeError(f"blocker count of task {dt_id} went negative")
 
-    def pop_ready(self, predicate, key=None) -> object | None:
-        """Remove and return a ready task matching ``predicate``.
+    def requeue_front(self, dt) -> None:
+        """Put a retried task back ahead of every queued task."""
+        # front entries count down from -1, so the latest is the oldest
+        self._retries += 1
+        self._order[dt.dt_id] = -self._retries
+        self._queues[self._kind_of[dt.dt_id]].insert(0, dt)
 
-        ``key`` (optional) selects among the matches: the highest-scoring
-        one is taken (ties keep queue order).  Without it, FIFO.
-        """
-        ready = self.ready
-        if key is None:
-            for i, dt in enumerate(ready):
-                if predicate(dt):
-                    ready.pop(i)
-                    return dt
-            return None
-        matches = [(i, dt) for i, dt in enumerate(ready) if predicate(dt)]
-        if not matches:
-            return None
-        i, dt = max(matches, key=lambda pair: key(pair[1]))
-        ready.pop(i)
-        return dt
+    def __len__(self) -> int:
+        return sum(map(len, self._queues.values()))
 
     @property
     def any_ready(self) -> bool:
         """Whether any task is currently runnable."""
-        return bool(self.ready)
+        return any(self._queues.values())
+
+    def has_ready(self, kind) -> bool:
+        """Whether a task of ``kind`` is currently runnable."""
+        return bool(self._queues.get(kind))
+
+    def _queue(self, kind):
+        """Ready tasks of ``kind`` (all kinds if None), in queue order."""
+        if kind is not None:
+            return self._queues.get(kind, ())
+        live = [q for q in self._queues.values() if q]
+        if len(live) <= 1:
+            return live[0] if live else ()
+        order = self._order
+        return sorted(itertools.chain(*live), key=lambda d: order[d.dt_id])
+
+    def peek_ready(self, kind, predicate=None) -> object | None:
+        """The first ready task of ``kind`` matching ``predicate``, left queued."""
+        for dt in self._queue(kind):
+            if predicate is None or predicate(dt):
+                return dt
+        return None
+
+    def pop_ready(self, predicate=None, key=None, kind=None) -> object | None:
+        """Remove and return a ready task.
+
+        ``kind`` restricts the pop to that kind's queue; without it every
+        ready task is a candidate, in arrival order.  ``predicate``
+        (optional) filters the candidates.  ``key`` (optional) selects
+        among them: the highest-scoring one is taken (ties keep queue
+        order).  Without it, FIFO.
+        """
+        queue = self._queue(kind)
+        if predicate is not None:
+            queue = [d for d in queue if predicate(d)]
+        if not queue:
+            return None
+        dt = queue[0] if key is None else max(queue, key=key)
+        self._remove(dt)
+        return dt
+
+    def _remove(self, dt) -> None:
+        queue = self._queues[self._kind_of[dt.dt_id]]
+        for i, queued in enumerate(queue):
+            if queued is dt:
+                del queue[i]
+                return
 
 
 @dataclasses.dataclass
@@ -154,7 +214,6 @@ class StepContext:
     old_dw: object | None
     new_dw: object
     bootstrap: bool
-    local: list
     tracker: ReadinessTracker
     remaining: set
     tag_base: int
@@ -207,9 +266,13 @@ class SchedulerCore:
         self.interference = (
             interference_simd if getattr(cost_model, "simd", False) else interference_scalar
         )
-        self._local_patches = [
-            p for p in graph.grid.patches() if graph.assignment[p.patch_id] == rank
-        ]
+        #: This rank's static share of the graph, compiled once per graph.
+        self.plan = graph.step_plan(rank)
+        #: Seconds of each local task's MPE part (step 3(b)iii), priced once.
+        self.mpe_part_cost = {
+            dt.dt_id: cost_model.mpe_part_time(dt.task, dt.patch, graph.grid)
+            for dt in self.plan.tasks
+        }
         #: Cross-step sends still in flight from previous timesteps.
         self._carryover_sends: list = []
         #: Fault injector and resilience policy (both optional; the
@@ -249,9 +312,7 @@ class SchedulerCore:
         #: on, provably non-perturbing (it charges no simulated time).
         self.validator = validator
         if validator is not None:
-            self.lifecycle.subscribe(
-                validator.subscriber_for(rank, graph, cost_model)
-            )
+            self.lifecycle.subscribe(validator.subscriber_for(rank, graph, cost_model))
 
     def _mark_ready(self, dt) -> None:
         """ReadinessTracker ``on_ready`` hook: PENDING → READY."""
@@ -267,7 +328,7 @@ class SchedulerCore:
             # raised RankFailure propagates through the driver process
             # and aborts Simulator.run for checkpoint recovery.
             self.faults.on_step_begin(rank, step)
-        local = graph.local_tasks(rank)
+        local = self.plan.tasks
         self.lifecycle.begin_step(local, step=step)
         return StepContext(
             step=step,
@@ -276,7 +337,6 @@ class SchedulerCore:
             old_dw=old_dw,
             new_dw=new_dw,
             bootstrap=bootstrap,
-            local=local,
             tracker=ReadinessTracker(local, graph, on_ready=self._mark_ready),
             remaining={d.dt_id for d in local},
             tag_base=step * graph.num_tags,

@@ -39,7 +39,7 @@ class CommEngine:
         self.send_reqs: list = []
         #: Old-DW variables die after their last consumer reads them.
         self.scrub_counts: dict[tuple[str, int], int] = (
-            dict(sched.graph.old_dw_consumers(sched.rank)) if sched.scrub else {}
+            dict(sched.plan.old_dw_consumers) if sched.scrub else {}
         )
 
     # ------------------------------------------------------------ queueing
@@ -82,7 +82,7 @@ class CommEngine:
     def post_recvs(self) -> _t.Generator:
         """Post non-blocking receives for every remote input (step 3a)."""
         sched, st = self.sched, self.st
-        my_recvs = [m for d in st.local for m in sched.graph.recvs_for(d)]
+        my_recvs = sched.plan.recvs
         if my_recvs:
             yield from sched._mpe("post-recvs", sched.costs.sched.recv_post * len(my_recvs))
             for spec in my_recvs:
@@ -213,15 +213,13 @@ class CommEngine:
         sched.lifecycle.transition(dt, TaskState.RUNNING)
         partial = 0.0
         if sched.real and dt.task.action is not None:
-            values = [
-                dt.task.action(sched._ctx(p, st)) for p in sched._local_patches
-            ]
+            values = [dt.task.action(sched._ctx(p, st)) for p in sched.plan.patches]
             partial = values[0] if values else 0.0
             for v in values[1:]:
                 partial = dt.task.reduction_op(partial, v)
         yield from sched._mpe(
             f"reduce-local:{dt.name}",
-            sched.costs.reduction_local_time(len(sched._local_patches)),
+            sched.costs.reduction_local_time(len(sched.plan.patches)),
         )
         req = sched.comm.iallreduce(partial, op=dt.task.reduction_op)
         self.pending_reductions.append((req, dt, sched.sim.now))

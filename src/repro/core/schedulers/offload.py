@@ -88,10 +88,6 @@ class OffloadEngine:
         self.num_groups = sched.backend.num_groups(sched.athread)
         self.interference = sched.interference_model
 
-    @staticmethod
-    def is_offloadable(d: DetailedTask) -> bool:
-        return d.task.kind is TaskKind.CPE_KERNEL
-
     def count_flops(self, dt: DetailedTask) -> None:
         # useful work is counted once per task, however many times a
         # fault forces it to be re-executed
@@ -229,7 +225,7 @@ class OffloadEngine:
         sched = self.sched
         if sched.retry_governor.should_retry(dt):
             sched.lifecycle.transition(dt, TaskState.READY, retry=True)
-            self.st.tracker.ready.insert(0, dt)  # retry ahead of fresh work
+            self.st.tracker.requeue_front(dt)  # retry ahead of fresh work
         else:
             yield from self.mpe_fallback(dt)
 
@@ -315,15 +311,8 @@ class OffloadEngine:
     # ------------------------------------------------------------ prefetch
     def prefetch_candidate(self) -> DetailedTask | None:
         """Next ready kernel whose MPE part can be pre-run (plain check)."""
-        st = self.st
-        return next(
-            (
-                d
-                for d in st.tracker.ready
-                if self.is_offloadable(d) and d.dt_id not in st.prepared
-            ),
-            None,
-        )
+        prepared = self.st.prepared
+        return self.st.tracker.peek_ready(TaskKind.CPE_KERNEL, lambda d: d.dt_id not in prepared)
 
     # ------------------------------------------------------------ waiting
     def wait_events(self) -> list:

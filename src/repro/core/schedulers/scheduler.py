@@ -54,14 +54,6 @@ _BACKENDS = {
 }
 
 
-def _is_mpe_kind(d: DetailedTask) -> bool:
-    return d.task.kind is TaskKind.MPE
-
-
-def _is_reduction(d: DetailedTask) -> bool:
-    return d.task.kind is TaskKind.REDUCTION
-
-
 class SunwayScheduler(SchedulerCore):
     """Executes one rank's share of a task graph, timestep by timestep."""
 
@@ -101,7 +93,7 @@ class SunwayScheduler(SchedulerCore):
 
     def run_mpe_part(self, st: StepContext, dt: DetailedTask) -> _t.Generator:
         """Run a task's serial MPE preparation part once (step 3b iii)."""
-        cost = self.costs.mpe_part_time(dt.task, dt.patch, self.graph.grid)
+        cost = self.mpe_part_cost[dt.dt_id]
         if cost > 0:
             if self.real and dt.task.mpe_action is not None:
                 dt.task.mpe_action(self._ctx(dt.patch, st))
@@ -120,16 +112,15 @@ class SunwayScheduler(SchedulerCore):
         self.lifecycle.retire(dt)
         st.remaining.discard(dt.dt_id)
         comm.flush_stash(dt)
-        for spec in self.graph.sends_after(dt):
+        graph = self.graph
+        for spec in graph.sends_after(dt):
             comm.queue_send(spec)
-        for spec in self.graph.copies_after(dt):
+        for spec in graph.copies_after(dt):
             comm.queue_copy(spec)
-        for dep in self.graph.dependents_of(dt):
+        for dep in graph.dependents_of(dt):
             st.tracker.release(dep.dt_id)
-        if dt.patch is not None:
-            for dep in dt.task.requires:
-                if dep.dw == "old" and not dep.label.is_reduction:
-                    comm.consume_old(dep.label.name, dt.patch.patch_id)
+        for label_name, pid in self.plan.old_reads.get(dt.dt_id, ()):
+            comm.consume_old(label_name, pid)
 
     def _run_mpe_task(self, st, comm, nxt: DetailedTask) -> _t.Generator:
         """(3d) small MPE-kind task: select, prepare, execute, finish."""
@@ -198,9 +189,7 @@ class SunwayScheduler(SchedulerCore):
         while st.remaining or comm.work:
             progressed = False
             if telemetry is not None:
-                telemetry.on_loop_sample(
-                    len(tracker.ready), len(offload.inflight), len(comm.work)
-                )
+                telemetry.on_loop_sample(len(tracker), len(offload.inflight), len(comm.work))
 
             # (3c) test MPI: harvest completed receives
             harvested = comm.harvest_recvs()
@@ -219,20 +208,18 @@ class SunwayScheduler(SchedulerCore):
                 if self._watchdog and (yield from offload.watchdog()):
                     progressed = True
             # dispatch ready kernels onto the execution backend
-            if tracker.ready and len(offload.inflight) < offload.num_groups:
+            free_slot = len(offload.inflight) < offload.num_groups
+            if free_slot and tracker.has_ready(TaskKind.CPE_KERNEL):
                 if (yield from backend.run_kernels(self, st, comm, offload)):
                     progressed = True
 
             # (3d) other MPE tasks: small kernels and reductions
-            if tracker.ready:
-                nxt = tracker.pop_ready(_is_mpe_kind)
-                if nxt is not None:
-                    yield from self._run_mpe_task(st, comm, nxt)
-                    progressed = True
-                nxt = tracker.pop_ready(_is_reduction)
-                if nxt is not None:
-                    yield from comm.start_reduction(nxt)
-                    progressed = True
+            if tracker.has_ready(TaskKind.MPE):
+                yield from self._run_mpe_task(st, comm, tracker.pop_ready(kind=TaskKind.MPE))
+                progressed = True
+            if tracker.has_ready(TaskKind.REDUCTION):
+                yield from comm.start_reduction(tracker.pop_ready(kind=TaskKind.REDUCTION))
+                progressed = True
 
             # one queued MPE work item (copies, packs, unpacks)
             if comm.work:
@@ -240,7 +227,7 @@ class SunwayScheduler(SchedulerCore):
                 yield from self._mpe(kind, cost)
                 comm.apply(kind, payload)
                 progressed = True
-            elif backend.overlaps and offload.inflight and tracker.ready:
+            elif backend.overlaps and offload.inflight and tracker.has_ready(TaskKind.CPE_KERNEL):
                 # idle MPE during a kernel: pre-process the MPE part of
                 # the next ready kernel so it launches instantly (step 3d
                 # "small kernels").

@@ -49,10 +49,7 @@ class MaxDependentsPolicy(SelectionPolicy):
     name = "max_dependents"
 
     def scores(self, graph, rank):
-        return {
-            dt.dt_id: len(graph.dependents_of(dt))
-            for dt in graph.local_tasks(rank)
-        }
+        return {dt.dt_id: len(graph.dependents_of(dt)) for dt in graph.local_tasks(rank)}
 
 
 class MostMessagesPolicy(SelectionPolicy):
@@ -104,5 +101,7 @@ def make_policy(name: str, graph, rank: int) -> SelectionPolicy:
     try:
         cls = POLICIES[name]
     except KeyError:
-        raise ValueError(f"unknown select_policy {name!r} (choose from {sorted(POLICIES)})") from None
+        raise ValueError(
+            f"unknown select_policy {name!r} (choose from {sorted(POLICIES)})"
+        ) from None
     return cls(graph, rank)

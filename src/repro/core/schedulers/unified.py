@@ -105,7 +105,7 @@ class UnifiedHostScheduler(SchedulerCore):
         # -- unit builders -------------------------------------------------
         def push_ready_tasks() -> None:
             while tracker.any_ready:
-                dt = tracker.ready.pop(0)
+                dt = tracker.pop_ready()
                 self.lifecycle.transition(dt, TaskState.DISPATCHED, backend="host")
                 pool.push(("task", dt))
 
@@ -132,8 +132,7 @@ class UnifiedHostScheduler(SchedulerCore):
             payload = yield req.event
             pool.push(("unpack", spec, payload))
 
-        my_recvs = [m for d in st.local for m in graph.recvs_for(d)]
-        for spec in my_recvs:
+        for spec in self.plan.recvs:
             req = self.comm.irecv(source=spec.from_rank, tag=st.tag_base + spec.tag)
             sim.process(recv_watcher(spec, req), name=f"recvw-r{rank}")
 
@@ -162,7 +161,7 @@ class UnifiedHostScheduler(SchedulerCore):
                 backend="mpe" if task.kind is TaskKind.CPE_KERNEL else None,
             )
             yield from thread_mpe(tid, "select", self.costs.sched.task_select)
-            mpe_cost = self.costs.mpe_part_time(task, dt.patch, graph.grid)
+            mpe_cost = self.mpe_part_cost[dt.dt_id]
             if mpe_cost > 0:
                 if self.real and task.mpe_action is not None:
                     task.mpe_action(self._ctx(dt.patch, st))
@@ -170,16 +169,14 @@ class UnifiedHostScheduler(SchedulerCore):
             if task.kind is TaskKind.REDUCTION:
                 partial = 0.0
                 if self.real and task.action is not None:
-                    vals = [
-                        task.action(self._ctx(p, st)) for p in self._local_patches
-                    ]
+                    vals = [task.action(self._ctx(p, st)) for p in self.plan.patches]
                     partial = vals[0] if vals else 0.0
                     for v in vals[1:]:
                         partial = task.reduction_op(partial, v)
                 yield from thread_mpe(
                     tid,
                     f"reduce:{dt.name}",
-                    self.costs.reduction_local_time(len(self._local_patches)),
+                    self.costs.reduction_local_time(len(self.plan.patches)),
                 )
                 req = self.comm.iallreduce(partial, op=task.reduction_op)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import typing as _t
 
 from repro.core.patch import Patch
@@ -40,6 +41,11 @@ class TaskKind(enum.Enum):
     MPE = "mpe"
     #: Per-rank reduction combined across ranks with MPI allreduce.
     REDUCTION = "reduction"
+
+    # Members are singletons, so hash by identity in C: Enum's own
+    # __hash__ is a Python-level call, and the per-kind ready queues are
+    # looked up by kind on every pass of the scheduler loop.
+    __hash__ = object.__hash__
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,9 +170,9 @@ class DetailedTask:
     def __hash__(self) -> int:
         return self.dt_id
 
-    @property
+    @functools.cached_property
     def name(self) -> str:
-        """Stable human-readable id used in traces."""
+        """Stable human-readable id used in traces (built once)."""
         where = f"p{self.patch.patch_id}" if self.patch is not None else f"r{self.rank}"
         return f"{self.task.name}@{where}"
 

@@ -27,6 +27,8 @@ away.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import types
 import typing as _t
 
 from repro.core.grid import Grid
@@ -95,6 +97,30 @@ class CopySpec:
         return self.region.num_cells
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class StepPlan:
+    """One rank's static share of a compiled graph, derived once.
+
+    Both timestep schedulers read it instead of re-deriving these facts
+    every step; :meth:`TaskGraph.step_plan` builds it on first request and
+    keeps it on the graph.  Everything here is read-only.
+    """
+
+    rank: int
+    #: Local detailed tasks in declaration order (``graph.local_tasks``).
+    tasks: list[DetailedTask]
+    #: Local patches in patch-id order (reduction partials).
+    patches: tuple[Patch, ...]
+    #: Every remote input of the local tasks, task by task (step 3a).
+    recvs: tuple["MessageSpec", ...]
+    #: ``dt_id -> ((label name, patch id), ...)``: the old-DW grid
+    #: variables a local task reads on its own patch (scrub accounting).
+    old_reads: types.MappingProxyType
+    #: Steady-state old-DW consumer counts (``graph.old_dw_consumers``);
+    #: copy before counting down.
+    old_dw_consumers: types.MappingProxyType
+
+
 class TaskGraph:
     """The compiled graph for one timestep structure.
 
@@ -128,6 +154,7 @@ class TaskGraph:
         self.internal_deps: dict[int, set[int]] = {}
         self.messages: list[MessageSpec] = []
         self.copies: list[CopySpec] = []
+        self._plans: dict[int, StepPlan] = {}
         self._compile()
 
     # -- compilation -------------------------------------------------------------
@@ -288,6 +315,9 @@ class TaskGraph:
         self._local: dict[int, list[DetailedTask]] = {r: [] for r in range(self.num_ranks)}
         for dt in self.detailed_tasks:
             self._local[dt.rank].append(dt)
+        self._local_patches: dict[int, list[Patch]] = {r: [] for r in range(self.num_ranks)}
+        for patch in self.grid.patches():
+            self._local_patches[self.assignment[patch.patch_id]].append(patch)
         self._recvs: dict[int, list[MessageSpec]] = {dt.dt_id: [] for dt in self.detailed_tasks}
         self._sends_startup: dict[int, list[MessageSpec]] = {
             r: [] for r in range(self.num_ranks)
@@ -378,13 +408,48 @@ class TaskGraph:
                 counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def dependents_of(self, dt: DetailedTask) -> list[DetailedTask]:
-        """Same-rank tasks with an internal edge from ``dt``."""
-        return [
-            other
-            for other in self._local[dt.rank]
-            if dt.dt_id in self.internal_deps[other.dt_id]
-        ]
+    def dependents_of(self, dt: DetailedTask) -> tuple[DetailedTask, ...]:
+        """Same-rank tasks with an internal edge from ``dt``, in declaration order."""
+        return self._dependents.get(dt.dt_id, ())
+
+    @functools.cached_property
+    def _dependents(self) -> dict[int, tuple[DetailedTask, ...]]:
+        # Built on first use from ``internal_deps`` as it stands then.  One
+        # pass over each rank's tasks in declaration order yields every
+        # list in the order a scan of ``local_tasks`` would.
+        owner = {dt.dt_id: dt.rank for dt in self.detailed_tasks}
+        index: dict[int, list[DetailedTask]] = {}
+        for local in self._local.values():
+            for other in local:
+                for dep in self.internal_deps[other.dt_id]:
+                    if owner.get(dep) == other.rank:
+                        index.setdefault(dep, []).append(other)
+        return {dt_id: tuple(deps) for dt_id, deps in index.items()}
+
+    def step_plan(self, rank: int) -> StepPlan:
+        """The :class:`StepPlan` of ``rank``, built once per graph."""
+        plan = self._plans.get(rank)
+        if plan is None:
+            local = self._local[rank]
+            plan = self._plans[rank] = StepPlan(
+                rank=rank,
+                tasks=local,
+                patches=tuple(self._local_patches[rank]),
+                recvs=tuple(m for dt in local for m in self._recvs[dt.dt_id]),
+                old_reads=types.MappingProxyType(
+                    {
+                        dt.dt_id: tuple(
+                            (dep.label.name, dt.patch.patch_id)
+                            for dep in dt.task.requires
+                            if dep.dw == "old" and not dep.label.is_reduction
+                        )
+                        for dt in local
+                        if dt.patch is not None
+                    }
+                ),
+                old_dw_consumers=types.MappingProxyType(self.old_dw_consumers(rank)),
+            )
+        return plan
 
     # -- invariants (used by tests and controller asserts) ----------------------------
     def validate_acyclic(self) -> None:
