@@ -98,9 +98,7 @@ class MPEBackend:
         action = sched.kernel_action(st, nxt)
         if action is not None:
             action()
-        yield from sched._mpe(
-            f"mpe-kernel:{nxt.name}", sched.costs.mpe_kernel_time(nxt.task, nxt.patch)
-        )
+        yield from sched._mpe("mpe-kernel", sched.costs.mpe_kernel_time(nxt.task, nxt.patch), nxt)
         # mpe_only counts flops per execution (no offload retry dedup)
         sched.lifecycle.emit("flops", nxt, n=sched.costs.kernel_flops(nxt.task, nxt.patch))
         sched.finish_task(st, comm, nxt)

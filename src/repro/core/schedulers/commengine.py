@@ -218,8 +218,7 @@ class CommEngine:
             for v in values[1:]:
                 partial = dt.task.reduction_op(partial, v)
         yield from sched._mpe(
-            f"reduce-local:{dt.name}",
-            sched.costs.reduction_local_time(len(sched.plan.patches)),
+            "reduce-local", sched.costs.reduction_local_time(len(sched.plan.patches)), dt
         )
         req = sched.comm.iallreduce(partial, op=dt.task.reduction_op)
         self.pending_reductions.append((req, dt, sched.sim.now))
@@ -234,7 +233,7 @@ class CommEngine:
             self.pending_reductions.remove((req, dt, _t0))
             label = dt.task.computes[0]
             st.new_dw.put_reduction(label, req.value)
-            yield from sched._mpe(f"reduce-finish:{dt.name}", sched.costs.sched.mpi_test)
+            yield from sched._mpe("reduce-finish", sched.costs.sched.mpi_test, dt)
             sched.finish_task(st, self, dt)
             sched.lifecycle.emit("reduction")
         return True

@@ -43,6 +43,10 @@ class TaskState(enum.Enum):
     DONE = "done"
     FAILED = "failed"
 
+    # Members are singletons, so hash by identity in C (as ``TaskKind``
+    # does): every transition looks its states up in ``_ALLOWED``.
+    __hash__ = object.__hash__
+
 
 #: Legal moves.  FAILED -> READY is a re-offload retry; FAILED -> RUNNING
 #: is the sync-mode in-place respawn or the MPE fallback execution.
@@ -153,6 +157,23 @@ class TaskLifecycle:
             fn(ev)
 
 
+#: Named (non-transition) event -> the ``SchedulerStats`` counters it bumps,
+#: as ``(field, info key)``: the key's value is added, or 1 when it is None.
+_EMIT_COUNTERS: dict[str, tuple[tuple[str, str | None], ...]] = {
+    "msg-sent": (("messages_sent", None), ("bytes_sent", "nbytes")),
+    "msg-recv": (("messages_received", None),),
+    "local-copy": (("local_copies", None),),
+    "reduction": (("reductions", None),),
+    "scrubbed": (("scrubbed", None),),
+    "flops": (("kernel_flops", "n"),),
+    "idle": (("idle_wait", "seconds"),),
+    "spin": (("spin_wait", "seconds"),),
+    "straggler": (("stragglers_detected", None),),
+    "kernel-timeout": (("kernel_timeouts", None),),
+    "kernel-retry": (("kernel_retries", None),),
+}
+
+
 class StatsSubscriber:
     """Folds lifecycle events into ``SchedulerStats`` counters.
 
@@ -186,29 +207,9 @@ class StatsSubscriber:
                 s.kernel_retries += 1
             elif state is TaskState.FAILED and info.get("cause") == "timeout":
                 s.kernel_timeouts += 1
-        elif kind == "msg-sent":
-            s.messages_sent += 1
-            s.bytes_sent += ev.info["nbytes"]
-        elif kind == "msg-recv":
-            s.messages_received += 1
-        elif kind == "local-copy":
-            s.local_copies += 1
-        elif kind == "reduction":
-            s.reductions += 1
-        elif kind == "scrubbed":
-            s.scrubbed += 1
-        elif kind == "flops":
-            s.kernel_flops += ev.info["n"]
-        elif kind == "idle":
-            s.idle_wait += ev.info["seconds"]
-        elif kind == "spin":
-            s.spin_wait += ev.info["seconds"]
-        elif kind == "straggler":
-            s.stragglers_detected += 1
-        elif kind == "kernel-timeout":
-            s.kernel_timeouts += 1
-        elif kind == "kernel-retry":
-            s.kernel_retries += 1
+        else:
+            for field, key in _EMIT_COUNTERS.get(kind, ()):
+                setattr(s, field, getattr(s, field) + (1 if key is None else ev.info[key]))
 
 
 class TraceSubscriber:

@@ -238,8 +238,7 @@ class OffloadEngine:
         if action is not None:
             action()
         yield from sched._mpe(
-            f"recover-fallback:{dt.name}",
-            sched.costs.mpe_kernel_time(dt.task, dt.patch),
+            "recover-fallback", sched.costs.mpe_kernel_time(dt.task, dt.patch), dt
         )
         self.count_flops(dt)
         sched.finish_task(self.st, self.comm, dt)

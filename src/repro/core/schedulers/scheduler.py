@@ -72,24 +72,33 @@ class SunwayScheduler(SchedulerCore):
         self.interference_model = InterferenceModel(self.interference)
         #: Kernel execution strategy — the only mode-string resolution.
         self.backend = _BACKENDS[mode]()
+        #: A quiet MPE noise factor is exactly 1.0, so ``_mpe`` skips the draw.
+        self._mpe_noisy = self._noise.model.mpe_cv > 0
 
     # ------------------------------------------------------------------ helpers
-    def _mpe(self, name: str, cost: float) -> _t.Generator:
+    def _mpe(self, kind: str, cost: float, dt: DetailedTask | None = None) -> _t.Generator:
         """Charge MPE time and trace it.
 
         While a kernel is in flight (async mode), MPE bulk work competes
         with CPE DMA for the shared memory controller: the busy time
         feeds the :class:`InterferenceModel`'s debt pool.  Spans here are
         traced directly (not via lifecycle events): this is the hottest
-        path in the DES loop and carries no task-state information.
+        path in the DES loop and carries no task-state information.  The
+        span is named ``kind``, or ``kind:<task name>`` when ``dt`` is
+        given; the name is built only when tracing is enabled.
         """
-        cost = self._noise.mpe(cost)
-        t0 = self.sim.now
-        yield self.sim.timeout(cost)
+        if self._mpe_noisy:
+            cost = self._noise.mpe(cost)
+        sim = self.sim
+        t0 = sim.now
+        yield sim.timeout(cost)
         im = self.interference_model
         if im.kernel_inflight:
             im.overlap_busy += cost
-        self.trace.record(self.rank, "mpe", name, t0, self.sim.now)
+        trace = self.trace
+        if trace.enabled:
+            name = kind if dt is None else f"{kind}:{dt.name}"
+            trace.record(self.rank, "mpe", name, t0, sim.now)
 
     def run_mpe_part(self, st: StepContext, dt: DetailedTask) -> _t.Generator:
         """Run a task's serial MPE preparation part once (step 3b iii)."""
@@ -97,7 +106,7 @@ class SunwayScheduler(SchedulerCore):
         if cost > 0:
             if self.real and dt.task.mpe_action is not None:
                 dt.task.mpe_action(self._ctx(dt.patch, st))
-            yield from self._mpe(f"mpe-part:{dt.name}", cost)
+            yield from self._mpe("mpe-part", cost, dt)
         st.prepared.add(dt.dt_id)
 
     def kernel_action(self, st: StepContext, dt: DetailedTask):
@@ -132,7 +141,7 @@ class SunwayScheduler(SchedulerCore):
         action = self.kernel_action(st, nxt)
         if action is not None:
             action()
-        yield from self._mpe(f"mpe-task:{nxt.name}", self.costs.mpe_task_time(nxt.task, nxt.patch))
+        yield from self._mpe("mpe-task", self.costs.mpe_task_time(nxt.task, nxt.patch), nxt)
         self.finish_task(st, comm, nxt)
 
     def _idle_wait(self, st, comm, offload) -> _t.Generator:

@@ -10,6 +10,7 @@ through schedulers exactly like a hardware fault would.
 from __future__ import annotations
 
 import typing as _t
+from heapq import heappush
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.des.simulator import Simulator
@@ -132,7 +133,7 @@ class Event:
         for cb in callbacks or ():
             cb(self)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         state = "processed" if self._processed else ("triggered" if self.triggered else "pending")
         label = self.name or self.__class__.__name__
         return f"<{label} {state} at {id(self):#x}>"
@@ -163,11 +164,23 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: object = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        super().__init__(sim, name=f"Timeout({delay:g})")
+        # Event.__init__ and Simulator._schedule inlined: the scheduler
+        # creates one timeout per MPE charge, so this is per-event code.
+        self.sim = sim
         self.delay = delay
-        self._ok = True
         self._value = value
-        sim._schedule(self, delay)
+        self._ok = True
+        self._callbacks = []
+        self._processed = False
+        self._defused = False
+        seq = sim._seq
+        sim._seq = seq + 1
+        heappush(sim._queue, (sim._now + delay, seq, self))
+
+    @property
+    def name(self) -> str:
+        """``Timeout(<delay>)``, built on demand (for ``repr`` and traces)."""
+        return f"Timeout({self.delay:g})"
 
 
 class Condition(Event):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.des.event import Event, Interrupt
+from repro.des.event import _PENDING, Event, Interrupt
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.des.simulator import Simulator
@@ -35,7 +35,7 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Event | None = None
         # Bootstrap: resume the generator at the current time.
-        boot = Event(sim, name=f"boot:{self.name}")
+        boot = Event(sim)
         boot._ok = True
         boot._value = None
         boot._add_callback(self._resume)
@@ -72,7 +72,9 @@ class Process(Event):
 
     # -- engine -----------------------------------------------------------
     def _resume(self, trigger: Event) -> None:
-        if self.triggered:
+        # Runs once per wake-up, so it reads the event slots directly
+        # instead of the ``triggered``/``processed`` properties.
+        if self._value is not _PENDING:
             # A stale wake-up (e.g. an event we were detached from while
             # being interrupted) must never resume a finished generator.
             return
@@ -105,4 +107,10 @@ class Process(Event):
         if target.sim is not sim:
             raise ValueError(f"process {self.name!r} yielded an event of another simulator")
         self._waiting_on = target
-        target._add_callback(self._resume)
+        # A fresh bound method per wait: storing one on the process would
+        # make a process <-> method reference cycle that only the cyclic
+        # garbage collector could free.
+        if target._processed:
+            target._add_callback(self._resume)
+        else:
+            target._callbacks.append(self._resume)

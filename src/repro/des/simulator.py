@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-import heapq
 import typing as _t
+from heapq import heappop, heappush
 
 from repro.des.event import Event, Timeout, all_of, any_of
 from repro.des.process import Process
+
+
+_INF = float("inf")
 
 
 class EmptySchedule(Exception):
@@ -76,7 +79,7 @@ class Simulator:
     def _schedule(self, item: object, delay: float) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        heapq.heappush(self._queue, (self._now + delay, self._seq, item))
+        heappush(self._queue, (self._now + delay, self._seq, item))
         self._seq += 1
 
     def peek(self) -> float:
@@ -86,7 +89,7 @@ class Simulator:
     def step(self) -> None:
         """Process exactly one scheduled event."""
         try:
-            when, _, item = heapq.heappop(self._queue)
+            when, _, item = heappop(self._queue)
         except IndexError:
             raise EmptySchedule("no events scheduled") from None
         assert when >= self._now, "event queue went backwards"
@@ -107,42 +110,46 @@ class Simulator:
             an :class:`Event` — run until that event has been processed,
             returning its value (or raising its exception).
         max_events:
-            Optional runaway guard: abort with ``RuntimeError`` after
-            processing this many events (catches processes stuck in
-            zero-delay loops, which never drain the queue).
+            Optional runaway guard: abort with ``RuntimeError`` as soon as
+            more than this many events have been processed (catches
+            processes stuck in zero-delay loops, which never drain the
+            queue).
         """
-        budget = max_events
-
-        def tick() -> None:
-            nonlocal budget
-            self.step()
-            if budget is not None:
-                budget -= 1
-                if budget < 0:
-                    raise RuntimeError(
-                        f"simulation exceeded max_events={max_events} at t={self._now} "
-                        "(zero-delay loop?)"
-                    )
-
-        if until is None:
-            while self._queue:
-                tick()
-            return None
+        target: Event | None = None
+        horizon = _INF
         if isinstance(until, Event):
             target = until
-            while not target.processed:
-                if not self._queue:
+        elif until is not None:
+            horizon = float(until)
+            if horizon < self._now:
+                raise ValueError(f"until={horizon} is in the past (now={self._now})")
+        # One loop for all three forms: this is the per-event path, so the
+        # stop test and the runaway count are inline rather than a call.
+        queue = self._queue
+        step = self.step
+        limit = _INF if max_events is None else max_events
+        processed = 0
+        while True:
+            if target is not None:
+                if target._processed:
+                    break
+                if not queue:
                     raise RuntimeError(
                         f"simulation ran out of events before {target!r} fired (deadlock?)"
                     )
-                tick()
-            if not target.ok:
-                raise _t.cast(BaseException, target.value)
-            return target.value
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(f"until={horizon} is in the past (now={self._now})")
-        while self._queue and self._queue[0][0] <= horizon:
-            tick()
-        self._now = horizon
+            elif not queue or queue[0][0] > horizon:
+                break
+            step()
+            processed += 1
+            if processed > limit:
+                raise RuntimeError(
+                    f"simulation exceeded max_events={max_events} at t={self._now} "
+                    "(zero-delay loop?)"
+                )
+        if target is not None:
+            if not target._ok:
+                raise _t.cast(BaseException, target._value)
+            return target._value
+        if until is not None:
+            self._now = horizon
         return None

@@ -21,7 +21,8 @@ class Request:
         self.sim = sim
         self.kind = kind
         self.tag = tag
-        self.event: Event = sim.event(name=f"{kind}(tag={tag})")
+        # unnamed: ``repr(request)`` shows kind and tag, built on demand
+        self.event: Event = sim.event()
         self.posted_at = sim.now
 
     @property
@@ -41,7 +42,7 @@ class Request:
             raise RuntimeError(f"{self!r} is not complete")
         return self.event.value
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         state = "complete" if self.complete else "pending"
         return f"<{self.__class__.__name__} {self.kind} tag={self.tag} {state}>"
 

@@ -149,6 +149,18 @@ def test_request_value_before_completion_is_error():
 
 # -- collectives ------------------------------------------------------------------
 
+def test_request_repr_shows_kind_and_tag():
+    sim, fabric, (c0, c1) = make_world(2)
+    recv = c1.irecv(source=0, tag=7)
+    assert repr(recv) == "<RecvRequest irecv tag=7 pending>"
+    send = c0.isend(dest=1, tag=7, nbytes=8)
+    assert repr(send).startswith("<SendRequest isend tag=7 ")
+    sim.run()
+    assert repr(recv) == "<RecvRequest irecv tag=7 complete>"
+    red = c0.iallreduce(1.0)
+    assert repr(red).startswith("<CollectiveRequest ") and " tag=0 " in repr(red)
+
+
 def test_allreduce_sums_across_ranks():
     sim, fabric, comms = make_world(4)
     reqs = [c.iallreduce(float(c.rank + 1)) for c in comms]
