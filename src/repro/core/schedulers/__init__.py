@@ -14,11 +14,9 @@ each resolved at construction to an executor backend
 * ``"mpe_only"`` — execute kernels on the MPE without offloading
   (variant ``host.sync``).
 
-:class:`AsyncScheduler`, :class:`SyncScheduler` and
-:class:`MPEOnlyScheduler` are convenience subclasses pinning the mode.
-The layered machinery underneath — lifecycle events, the communication
-and offload engines, selection strategies — is documented in
-``docs/ARCHITECTURE.md``.
+The mode is the ``mode=`` argument.  The layered machinery underneath —
+lifecycle events, the communication and offload engines, selection
+strategies — is documented in ``docs/ARCHITECTURE.md``.
 """
 
 from repro.core.schedulers.base import (
@@ -29,7 +27,6 @@ from repro.core.schedulers.base import (
     StepContext,
 )
 from repro.core.schedulers.lifecycle import TaskLifecycle, TaskState
-from repro.core.schedulers.modes import AsyncScheduler, MPEOnlyScheduler, SyncScheduler
 from repro.core.schedulers.scheduler import SunwayScheduler
 from repro.core.schedulers.selection import POLICIES, SelectionPolicy, make_policy
 
@@ -40,9 +37,6 @@ __all__ = [
     "SchedulerCore",
     "StepContext",
     "SunwayScheduler",
-    "AsyncScheduler",
-    "SyncScheduler",
-    "MPEOnlyScheduler",
     "TaskLifecycle",
     "TaskState",
     "SelectionPolicy",

@@ -21,8 +21,9 @@ through the scheduling loop:
 
 Besides transitions, schedulers emit *named* events (``msg-sent``,
 ``local-copy``, ``scrubbed``, ``idle`` …) for work that is real but not
-a task state change; the mapping to counters lives in one place,
-:class:`StatsSubscriber`.  See ``docs/ARCHITECTURE.md`` for the layer
+a task state change.  The mapping from events to counters lives in one
+place, ``COUNTER_TABLE``; the stats and telemetry subscribers both fold
+through it.  See ``docs/ARCHITECTURE.md`` for the layer
 diagram.
 """
 
@@ -157,28 +158,79 @@ class TaskLifecycle:
             fn(ev)
 
 
-#: Named (non-transition) event -> the ``SchedulerStats`` counters it bumps,
-#: as ``(field, info key)``: the key's value is added, or 1 when it is None.
-_EMIT_COUNTERS: dict[str, tuple[tuple[str, str | None], ...]] = {
-    "msg-sent": (("messages_sent", None), ("bytes_sent", "nbytes")),
-    "msg-recv": (("messages_received", None),),
-    "local-copy": (("local_copies", None),),
-    "reduction": (("reductions", None),),
-    "scrubbed": (("scrubbed", None),),
-    "flops": (("kernel_flops", "n"),),
-    "idle": (("idle_wait", "seconds"),),
-    "spin": (("spin_wait", "seconds"),),
-    "straggler": (("stragglers_detected", None),),
-    "kernel-timeout": (("kernel_timeouts", None),),
-    "kernel-retry": (("kernel_retries", None),),
+#: One counter an event moves, as ``(SchedulerStats field, registry
+#: metric, ledger bucket key, info key)``: the info key's value is added,
+#: or 1 when it is None, and a None sink is left alone.
+_RETRY = ("kernel_retries", "resilience.kernel_retries", "kernel_retries", None)
+_TIMEOUT = ("kernel_timeouts", "resilience.kernel_timeouts", "kernel_timeouts", None)
+
+#: The one event -> counter mapping: a named event's kind, or a transition
+#: class ``(state, qualifier)`` (see :func:`counter_rows`), to the rows it
+#: moves.  An ``mpe_fallback`` run moves ``kernels_on_mpe`` in the stats
+#: but not ``kernels.mpe``, which counts planned MPE kernels only.  The
+#: stats fields ``mpi_retries``, ``rank_recoveries`` and ``steps_replayed``
+#: are fed by the fabric and the recovery runner, not by the bus.
+COUNTER_TABLE: dict[object, tuple[tuple, ...]] = {
+    "msg-sent": (
+        ("messages_sent", "ghost.msgs.sent", "msgs_sent", None),
+        ("bytes_sent", "ghost.bytes.sent", "bytes_sent", "nbytes"),
+    ),
+    "msg-recv": (
+        ("messages_received", "ghost.msgs.recv", "msgs_recv", None),
+        (None, "ghost.bytes.recv", None, "nbytes"),
+    ),
+    "local-copy": (("local_copies", "comm.local_copies", "local_copies", None),),
+    "reduction": (("reductions", "comm.reductions", "reductions", None),),
+    "scrubbed": (("scrubbed", "dw.scrubbed", "scrubbed", None),),
+    "flops": (("kernel_flops", "flops.counted", "flops", "n"),),
+    "idle": (("idle_wait", "mpe.idle.seconds", "idle_seconds", "seconds"),),
+    "spin": (("spin_wait", "mpe.spin.seconds", "spin_seconds", "seconds"),),
+    "straggler": (("stragglers_detected", "resilience.stragglers", "stragglers", None),),
+    "kernel-timeout": (_TIMEOUT,),
+    "kernel-retry": (_RETRY,),
+    (TaskState.DONE, None): (("tasks_run", "tasks.done", "tasks_done", None),),
+    (TaskState.RUNNING, "cpe"): (
+        ("kernels_offloaded", "kernels.offloaded", "kernels_offloaded", None),
+    ),
+    (TaskState.RUNNING, "cpe+retry"): (_RETRY,),
+    (TaskState.RUNNING, "mpe"): (("kernels_on_mpe", "kernels.mpe", "kernels_mpe", None),),
+    (TaskState.RUNNING, "mpe_fallback"): (
+        ("mpe_fallbacks", "resilience.mpe_fallbacks", "mpe_fallbacks", None),
+        ("kernels_on_mpe", None, None, None),
+    ),
+    (TaskState.READY, "retry"): (_RETRY,),
+    (TaskState.FAILED, "timeout"): (_TIMEOUT,),
 }
 
 
-class StatsSubscriber:
-    """Folds lifecycle events into ``SchedulerStats`` counters.
+def counter_rows(ev: LifecycleEvent) -> tuple[tuple, ...]:
+    """The ``COUNTER_TABLE`` rows one event moves (empty when none).
 
-    This is the single place mapping runtime happenings to the paper's
-    counters; schedulers and engines never touch the stats object.
+    A named event is looked up by its kind.  A transition is classed as
+    ``(state, qualifier)``: RUNNING by its ``backend`` (``cpe+retry`` for
+    a respawn), READY by ``retry``, FAILED by its ``cause``.
+    """
+    kind = ev.kind
+    if kind != "transition":
+        return COUNTER_TABLE.get(kind, ())
+    state, info = ev.state, ev.info
+    if state is TaskState.RUNNING:
+        qual = info.get("backend")
+        if qual == "cpe" and info.get("retry"):
+            qual = "cpe+retry"
+    elif state is TaskState.READY:
+        qual = "retry" if info.get("retry") else None
+    elif state is TaskState.FAILED:
+        qual = info.get("cause")
+    else:
+        qual = None
+    return COUNTER_TABLE.get((state, qual), ())
+
+
+class StatsSubscriber:
+    """Folds lifecycle events into ``SchedulerStats`` through ``COUNTER_TABLE``.
+
+    Schedulers and engines never touch the stats object.
     """
 
     def __init__(self, stats):
@@ -186,29 +238,8 @@ class StatsSubscriber:
 
     def __call__(self, ev: LifecycleEvent) -> None:
         s = self.stats
-        kind = ev.kind
-        if kind == "transition":
-            state, info = ev.state, ev.info
-            if state is TaskState.DONE:
-                s.tasks_run += 1
-            elif state is TaskState.RUNNING:
-                backend = info.get("backend")
-                if backend == "cpe":
-                    if info.get("retry"):
-                        s.kernel_retries += 1
-                    else:
-                        s.kernels_offloaded += 1
-                elif backend == "mpe":
-                    s.kernels_on_mpe += 1
-                elif backend == "mpe_fallback":
-                    s.mpe_fallbacks += 1
-                    s.kernels_on_mpe += 1
-            elif state is TaskState.READY and info.get("retry"):
-                s.kernel_retries += 1
-            elif state is TaskState.FAILED and info.get("cause") == "timeout":
-                s.kernel_timeouts += 1
-        else:
-            for field, key in _EMIT_COUNTERS.get(kind, ()):
+        for field, _metric, _bucket, key in counter_rows(ev):
+            if field is not None:
                 setattr(s, field, getattr(s, field) + (1 if key is None else ev.info[key]))
 
 

@@ -58,10 +58,9 @@ class SunwayScheduler(SchedulerCore):
     """Executes one rank's share of a task graph, timestep by timestep."""
 
     def __init__(self, *args, **kwargs):
-        mode = kwargs.get("mode", args[6] if len(args) > 6 else "async")
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         super().__init__(*args, **kwargs)
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         #: The watchdog only arms when a kernel can actually hang —
         #: timeout events per wait iteration are not free.
         self._watchdog = (
@@ -71,7 +70,7 @@ class SunwayScheduler(SchedulerCore):
         #: steps; structurally idle outside async mode).
         self.interference_model = InterferenceModel(self.interference)
         #: Kernel execution strategy — the only mode-string resolution.
-        self.backend = _BACKENDS[mode]()
+        self.backend = _BACKENDS[self.mode]()
         #: A quiet MPE noise factor is exactly 1.0, so ``_mpe`` skips the draw.
         self._mpe_noisy = self._noise.model.mpe_cv > 0
 

@@ -51,6 +51,29 @@ class ExperimentResult:
     stragglers_detected: int = 0
     rank_recoveries: int = 0
 
+    @classmethod
+    def from_run(
+        cls, problem: str, variant: str, num_cgs: int, nsteps: int, run: RunResult
+    ) -> "ExperimentResult":
+        """The measurements of one finished run of ``nsteps`` timesteps."""
+        stats = run.stats
+        return cls(
+            problem=problem,
+            variant=variant,
+            num_cgs=num_cgs,
+            nsteps=nsteps,
+            time_per_step=run.time_per_step,
+            flops_per_step=run.flops_per_step,
+            messages_per_step=run.messages_sent / nsteps,
+            bytes_per_step=run.bytes_sent / nsteps,
+            kernel_timeouts=stats.kernel_timeouts,
+            kernel_retries=stats.kernel_retries,
+            mpe_fallbacks=stats.mpe_fallbacks,
+            mpi_retries=stats.mpi_retries,
+            stragglers_detected=stats.stragglers_detected,
+            rank_recoveries=stats.rank_recoveries,
+        )
+
     @property
     def gflops(self) -> float:
         """Achieved Gflop/s (Sec. VII-E)."""
@@ -84,6 +107,35 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
+def _controller(problem, variant, num_cgs, with_reduction, noise, **kwargs):
+    """A model-mode controller for one case, and the problem's stable dt."""
+    if num_cgs < problem.min_cgs:
+        raise ValueError(
+            f"problem {problem.name} needs at least {problem.min_cgs} CGs "
+            f"(memory), got {num_cgs}"
+        )
+    sched_kwargs = calibration.scheduler_kwargs()
+    sched_kwargs["select_policy"] = variant.select_policy
+    if noise is not None:
+        sched_kwargs["noise"] = noise
+    grid = problem.grid()
+    burgers = BurgersProblem(grid, fast_exp=True, with_reduction=with_reduction)
+    controller = SimulationController(
+        grid,
+        burgers.tasks(),
+        burgers.init_tasks(),
+        num_ranks=num_cgs,
+        mode=variant.mode,
+        cost_model=variant.cost_model(),
+        real=False,
+        fabric_config=calibration.FABRIC,
+        scheduler_kwargs=sched_kwargs,
+        memory_limit_bytes=USABLE_BYTES_PER_CG,
+        **kwargs,
+    )
+    return controller, burgers.stable_dt()
+
+
 def run_experiment(
     problem: ProblemSetting,
     variant: Variant,
@@ -100,11 +152,6 @@ def run_experiment(
     paper's Sec. VII-A protocol.  Without noise the DES is deterministic
     and one repeat suffices.
     """
-    if num_cgs < problem.min_cgs:
-        raise ValueError(
-            f"problem {problem.name} needs at least {problem.min_cgs} CGs "
-            f"(memory), got {num_cgs}"
-        )
     key = (
         problem.name,
         variant.name,
@@ -121,45 +168,14 @@ def run_experiment(
 
     best: RunResult | None = None
     for rep in range(max(repeats, 1)):
-        sched_kwargs = calibration.scheduler_kwargs()
-        sched_kwargs["select_policy"] = variant.select_policy
-        if noise is not None:
-            sched_kwargs["noise"] = dataclasses.replace(noise, seed=noise.seed + rep)
-        grid = problem.grid()
-        burgers = BurgersProblem(grid, fast_exp=True, with_reduction=with_reduction)
-        controller = SimulationController(
-            grid,
-            burgers.tasks(),
-            burgers.init_tasks(),
-            num_ranks=num_cgs,
-            mode=variant.mode,
-            cost_model=variant.cost_model(),
-            real=False,
-            fabric_config=calibration.FABRIC,
-            scheduler_kwargs=sched_kwargs,
-            memory_limit_bytes=USABLE_BYTES_PER_CG,
-        )
-        res = controller.run(nsteps=nsteps, dt=burgers.stable_dt())
+        rep_noise = None if noise is None else dataclasses.replace(noise, seed=noise.seed + rep)
+        controller, dt = _controller(problem, variant, num_cgs, with_reduction, rep_noise)
+        res = controller.run(nsteps=nsteps, dt=dt)
         if best is None or res.time_per_step < best.time_per_step:
             best = res
 
     assert best is not None
-    out = ExperimentResult(
-        problem=problem.name,
-        variant=variant.name,
-        num_cgs=num_cgs,
-        nsteps=nsteps,
-        time_per_step=best.time_per_step,
-        flops_per_step=best.flops_per_step,
-        messages_per_step=best.messages_sent / nsteps,
-        bytes_per_step=best.bytes_sent / nsteps,
-        kernel_timeouts=best.stats.kernel_timeouts,
-        kernel_retries=best.stats.kernel_retries,
-        mpe_fallbacks=best.stats.mpe_fallbacks,
-        mpi_retries=best.stats.mpi_retries,
-        stragglers_detected=best.stats.stragglers_detected,
-        rank_recoveries=best.stats.rank_recoveries,
-    )
+    out = ExperimentResult.from_run(problem.name, variant.name, num_cgs, nsteps, best)
     _CACHE[key] = out
     return out
 
@@ -185,33 +201,10 @@ def run_instrumented(
     from repro.telemetry import RunTelemetry, build_ledger
     from repro.telemetry.ledger import git_revision
 
-    if num_cgs < problem.min_cgs:
-        raise ValueError(
-            f"problem {problem.name} needs at least {problem.min_cgs} CGs "
-            f"(memory), got {num_cgs}"
-        )
     telemetry = RunTelemetry()
-    sched_kwargs = calibration.scheduler_kwargs()
-    sched_kwargs["select_policy"] = variant.select_policy
-    if noise is not None:
-        sched_kwargs["noise"] = noise
-    grid = problem.grid()
-    burgers = BurgersProblem(grid, fast_exp=True, with_reduction=with_reduction)
-    controller = SimulationController(
-        grid,
-        burgers.tasks(),
-        burgers.init_tasks(),
-        num_ranks=num_cgs,
-        mode=variant.mode,
-        cost_model=variant.cost_model(),
-        real=False,
-        fabric_config=calibration.FABRIC,
-        trace_enabled=True,
-        scheduler_kwargs=sched_kwargs,
-        memory_limit_bytes=USABLE_BYTES_PER_CG,
-        telemetry=telemetry,
+    controller, dt = _controller(
+        problem, variant, num_cgs, with_reduction, noise, trace_enabled=True, telemetry=telemetry
     )
-    dt = burgers.stable_dt()
     result = controller.run(nsteps=nsteps, dt=dt)
     manifest = {
         "problem": problem.name,
@@ -230,22 +223,7 @@ def run_instrumented(
         ),
     }
     ledger = build_ledger(result, telemetry, manifest)
-    experiment = ExperimentResult(
-        problem=problem.name,
-        variant=variant.name,
-        num_cgs=num_cgs,
-        nsteps=nsteps,
-        time_per_step=result.time_per_step,
-        flops_per_step=result.flops_per_step,
-        messages_per_step=result.messages_sent / nsteps,
-        bytes_per_step=result.bytes_sent / nsteps,
-        kernel_timeouts=result.stats.kernel_timeouts,
-        kernel_retries=result.stats.kernel_retries,
-        mpe_fallbacks=result.stats.mpe_fallbacks,
-        mpi_retries=result.stats.mpi_retries,
-        stragglers_detected=result.stats.stragglers_detected,
-        rank_recoveries=result.stats.rank_recoveries,
-    )
+    experiment = ExperimentResult.from_run(problem.name, variant.name, num_cgs, nsteps, result)
     return InstrumentedRun(
         experiment=experiment, result=result, telemetry=telemetry, ledger=ledger
     )

@@ -11,8 +11,10 @@ so a run without telemetry executes the pre-telemetry code path exactly.
 
 :class:`TelemetrySubscriber` is the lifecycle-bus side: one per rank,
 subscribed by :class:`~repro.core.schedulers.base.SchedulerCore` next to
-the stats/trace subscribers.  It attributes every event to the emitting
-rank's *current timestep* (counted from ``step-begin`` events), which is
+the stats/trace subscribers.  It folds the same event -> counter rows as
+the stats subscriber, so every scheduler that emits an event reports its
+counters alike.  It attributes every event to the emitting rank's
+*current timestep* (counted from ``step-begin`` events), which is
 what makes per-timestep accounting possible without threading step
 numbers through every engine.
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import collections
 
-from repro.core.schedulers.lifecycle import LifecycleEvent, TaskState
+from repro.core.schedulers.lifecycle import LifecycleEvent, counter_rows
 from repro.telemetry.metrics import MetricsRegistry
 
 
@@ -91,21 +93,6 @@ class RunTelemetry:
             reg.inc("dma.descriptors", volume.descriptors)
             self.bump(rank, "dma_bytes", volume.get_bytes + volume.put_bytes)
 
-    def on_ghost_send(self, rank: int, nbytes: int) -> None:
-        """CommEngine sent one packed ghost slab."""
-        reg = self.registry
-        reg.inc("ghost.msgs.sent")
-        reg.inc("ghost.bytes.sent", nbytes)
-        self.bump(rank, "msgs_sent")
-        self.bump(rank, "bytes_sent", nbytes)
-
-    def on_ghost_unpack(self, rank: int, nbytes: int) -> None:
-        """CommEngine unpacked one received ghost slab."""
-        reg = self.registry
-        reg.inc("ghost.msgs.recv")
-        reg.inc("ghost.bytes.recv", nbytes)
-        self.bump(rank, "msgs_recv")
-
     def on_wire_message(self, nbytes: int) -> None:
         """Fabric-level traffic (includes retransmitted/duplicated bytes)."""
         reg = self.registry
@@ -118,19 +105,13 @@ class RunTelemetry:
         reg.inc("net.bytes", nbytes)
 
 
-#: Named lifecycle events folded 1:1 into bucket keys and counters.
-_EVENT_COUNTERS = {
-    "local-copy": ("comm.local_copies", "local_copies"),
-    "reduction": ("comm.reductions", "reductions"),
-    "scrubbed": ("dw.scrubbed", "scrubbed"),
-    "straggler": ("resilience.stragglers", "stragglers"),
-    "kernel-timeout": ("resilience.kernel_timeouts", "kernel_timeouts"),
-    "kernel-retry": ("resilience.kernel_retries", "kernel_retries"),
-}
-
-
 class TelemetrySubscriber:
-    """Folds one rank's lifecycle events into the run's telemetry."""
+    """Folds one rank's lifecycle events into the run's telemetry.
+
+    The registry metric and the bucket key of every event come from
+    :data:`~repro.core.schedulers.lifecycle.COUNTER_TABLE`, the same rows
+    the stats subscriber folds; ``step-begin`` advances the rank's step.
+    """
 
     __slots__ = ("tele", "rank")
 
@@ -140,47 +121,12 @@ class TelemetrySubscriber:
 
     def __call__(self, ev: LifecycleEvent) -> None:
         tele, rank = self.tele, self.rank
-        kind = ev.kind
-        if kind == "transition":
-            state, info = ev.state, ev.info
-            if state is TaskState.DONE:
-                tele.registry.inc("tasks.done")
-                tele.bump(rank, "tasks_done")
-            elif state is TaskState.RUNNING:
-                backend = info.get("backend")
-                if backend == "cpe":
-                    key = "kernel_retries" if info.get("retry") else "kernels_offloaded"
-                    tele.registry.inc(
-                        "resilience.kernel_retries"
-                        if info.get("retry")
-                        else "kernels.offloaded"
-                    )
-                    tele.bump(rank, key)
-                elif backend == "mpe":
-                    tele.registry.inc("kernels.mpe")
-                    tele.bump(rank, "kernels_mpe")
-                elif backend == "mpe_fallback":
-                    tele.registry.inc("resilience.mpe_fallbacks")
-                    tele.bump(rank, "mpe_fallbacks")
-            elif state is TaskState.READY and info.get("retry"):
-                tele.registry.inc("resilience.kernel_retries")
-                tele.bump(rank, "kernel_retries")
-            elif state is TaskState.FAILED and info.get("cause") == "timeout":
-                tele.registry.inc("resilience.kernel_timeouts")
-                tele.bump(rank, "kernel_timeouts")
-        elif kind == "step-begin":
+        if ev.kind == "step-begin":
             tele.begin_step(rank)
-        elif kind == "flops":
-            tele.registry.inc("flops.counted", ev.info["n"])
-            tele.bump(rank, "flops", ev.info["n"])
-        elif kind == "idle":
-            tele.registry.inc("mpe.idle.seconds", ev.info["seconds"])
-            tele.bump(rank, "idle_seconds", ev.info["seconds"])
-        elif kind == "spin":
-            tele.registry.inc("mpe.spin.seconds", ev.info["seconds"])
-            tele.bump(rank, "spin_seconds", ev.info["seconds"])
-        else:
-            names = _EVENT_COUNTERS.get(kind)
-            if names is not None:
-                tele.registry.inc(names[0])
-                tele.bump(rank, names[1])
+            return
+        for _field, metric, bucket, key in counter_rows(ev):
+            n = 1 if key is None else ev.info[key]
+            if metric is not None:
+                tele.registry.inc(metric, n)
+            if bucket is not None:
+                tele.bump(rank, bucket, n)

@@ -13,12 +13,8 @@ from repro.burgers import BurgersProblem, solution_errors
 from repro.core.controller import SimulationController
 from repro.core.costs import SunwayCostModel
 from repro.core.grid import Grid
-from repro.core.schedulers import (
-    AsyncScheduler,
-    MPEOnlyScheduler,
-    SyncScheduler,
-    SunwayScheduler,
-)
+from repro.core.schedulers import SunwayScheduler
+from repro.core.schedulers.backends import CPEBackend, MPEBackend
 from repro.core.schedulers.base import DeadlockError
 from repro.core.task import Task, TaskKind
 from repro.core.taskgraph import TaskGraph
@@ -57,10 +53,8 @@ def test_results_identical_across_modes_and_ranks():
             assert np.array_equal(ref[pid], got[pid]), (num_ranks, mode, pid)
 
 
-def test_mode_subclasses_pin_modes():
-    assert AsyncScheduler.__mro__[1] is SunwayScheduler
-    grid, prob, res = run_burgers(1, "async", nsteps=1)
-    # constructing via subclasses
+def test_mode_argument_pins_modes():
+    grid, prob, _ = run_burgers(1, "async", nsteps=1)
     from repro.des import Simulator
     from repro.simmpi import Fabric, Comm
     from repro.sunway.athread import AthreadRuntime
@@ -71,11 +65,20 @@ def test_mode_subclasses_pin_modes():
     assignment = LoadBalancer().assign(grid, 1)
     graph = TaskGraph(grid, prob.tasks(), assignment, 1)
     args = (sim, 0, graph, Comm(fabric, 0), AthreadRuntime(sim), SunwayCostModel())
-    assert AsyncScheduler(*args).mode == "async"
-    assert SyncScheduler(*args).mode == "sync"
-    assert MPEOnlyScheduler(*args).mode == "mpe_only"
-    with pytest.raises(ValueError):
+    assert SunwayScheduler(*args).mode == "async"
+    for mode in ("async", "sync", "mpe_only"):
+        # the seventh positional argument is the mode
+        for sched in (SunwayScheduler(*args, mode=mode), SunwayScheduler(*args, mode)):
+            assert sched.mode == mode
+            if mode == "mpe_only":
+                assert isinstance(sched.backend, MPEBackend)
+            else:
+                assert isinstance(sched.backend, CPEBackend)
+                assert sched.backend.blocking == (mode == "sync")
+    with pytest.raises(ValueError, match="warp"):
         SunwayScheduler(*args, mode="warp")
+    with pytest.raises(ValueError, match="warp"):
+        SunwayScheduler(*args, "warp")
 
 
 # -- overlap mechanics ---------------------------------------------------------------
