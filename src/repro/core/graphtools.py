@@ -7,7 +7,9 @@ same affordances for the reproduction:
   :class:`~repro.core.taskgraph.TaskGraph` (internal edges solid, MPI
   messages dashed, one cluster per rank);
 * :func:`critical_path` — the longest weighted chain of internal
-  dependencies, the lower bound on a timestep regardless of resources;
+  dependencies, the lower bound on a timestep regardless of resources,
+  built on :func:`chain_depths` (which the ``critical_path`` selection
+  policy also scores with);
 * :func:`graph_stats` — counts the scheduler's workload per rank.
 
 When ``networkx`` is installed, :func:`to_networkx` exposes the graph to
@@ -70,6 +72,32 @@ class CriticalPath:
     length: float
 
 
+def chain_depths(
+    graph: TaskGraph,
+    tasks: _t.Iterable[DetailedTask],
+    weight: _t.Callable[[DetailedTask], float] = lambda dt: 1.0,
+) -> dict[int, float]:
+    """Weight of the heaviest downstream chain each task heads, itself included.
+
+    Keyed by ``dt_id``, for ``tasks`` and every task downstream of them.
+    The walk follows :meth:`~repro.core.taskgraph.TaskGraph.dependents_of`;
+    internal dependencies are same-rank by construction, so that covers
+    every internal edge.
+    """
+    memo: dict[int, float] = {}
+
+    def visit(dt: DetailedTask) -> float:
+        got = memo.get(dt.dt_id)
+        if got is None:
+            deeper = max(map(visit, graph.dependents_of(dt)), default=0.0)
+            memo[dt.dt_id] = got = weight(dt) + deeper
+        return got
+
+    for dt in tasks:
+        visit(dt)
+    return memo
+
+
 def critical_path(
     graph: TaskGraph,
     weight: _t.Callable[[DetailedTask], float] = lambda dt: 1.0,
@@ -79,33 +107,17 @@ def critical_path(
     ``weight(dt)`` defaults to 1 (hop count); pass e.g. the cost model's
     kernel time for a seconds-valued bound.
     """
-    dist: dict[int, float] = {}
-    pred: dict[int, int | None] = {}
-    by_id = {dt.dt_id: dt for dt in graph.detailed_tasks}
-
-    def longest_to(node: int) -> float:
-        if node in dist:
-            return dist[node]
-        best = 0.0
-        best_pred: int | None = None
-        for dep in graph.internal_deps[node]:
-            cand = longest_to(dep)
-            if cand > best:
-                best, best_pred = cand, dep
-        dist[node] = best + weight(by_id[node])
-        pred[node] = best_pred
-        return dist[node]
-
     if not graph.detailed_tasks:
         return CriticalPath([], 0.0)
-    end = max(graph.detailed_tasks, key=lambda dt: longest_to(dt.dt_id))
-    chain = []
-    cursor: int | None = end.dt_id
-    while cursor is not None:
-        chain.append(by_id[cursor])
-        cursor = pred[cursor]
-    chain.reverse()
-    return CriticalPath(chain, dist[end.dt_id])
+    depth = chain_depths(graph, graph.detailed_tasks, weight)
+
+    def key(dt: DetailedTask) -> float:
+        return depth[dt.dt_id]
+
+    chain = [max(graph.detailed_tasks, key=key)]
+    while graph.dependents_of(chain[-1]):
+        chain.append(max(graph.dependents_of(chain[-1]), key=key))
+    return CriticalPath(chain, depth[chain[0].dt_id])
 
 
 def graph_stats(graph: TaskGraph) -> dict:

@@ -114,15 +114,10 @@ class HostThreadPoolBackend:
     :class:`WorkerPool`, built fresh by :meth:`start_step`.
     """
 
-    overlaps = False
-
     def __init__(self, num_threads: int = 1):
         if num_threads < 1:
             raise ValueError(f"need >= 1 worker thread, got {num_threads}")
         self.num_threads = num_threads
-
-    def num_groups(self, athread) -> int:
-        return self.num_threads
 
     def start_step(self, sim, rank: int) -> "WorkerPool":
         return WorkerPool(sim, rank, self.num_threads)

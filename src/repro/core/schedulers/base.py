@@ -343,6 +343,21 @@ class SchedulerCore:
             next_tag_base=(step + 1) * graph.num_tags,
         )
 
+    def finish_task(self, st: StepContext, comm, dt) -> None:
+        """Retire a completed task: queue its sends/copies on ``comm``, release dependents."""
+        self.lifecycle.retire(dt)
+        st.remaining.discard(dt.dt_id)
+        comm.flush_stash(dt)
+        graph = self.graph
+        for spec in graph.sends_after(dt):
+            comm.queue_send(spec)
+        for spec in graph.copies_after(dt):
+            comm.queue_copy(spec)
+        for dep in graph.dependents_of(dt):
+            st.tracker.release(dep.dt_id)
+        for label_name, pid in self.plan.old_reads.get(dt.dt_id, ()):
+            comm.consume_old(label_name, pid)
+
     def _ctx(self, patch, st: StepContext) -> TaskContext:
         return TaskContext(
             grid=self.graph.grid,

@@ -5,8 +5,9 @@ One :class:`CommEngine` lives for one timestep (paper steps 3a, 3c, 3d).
 It owns the MPE work queue of communication items — local ghost copies,
 pack+send, unpack — posts the step's non-blocking receives, watches
 pending allreduces, and performs the data-warehouse effects when an item
-executes.  The scheduler charges the MPE time (through ``sched._mpe``)
-and asks the engine to apply the effects; all bookkeeping lands on the
+executes.  The scheduler charges the time (on the MPE through
+``sched._mpe``, or on a unified-scheduler worker thread) and asks the
+engine to apply the effects; all bookkeeping lands on the
 lifecycle bus (``msg-sent`` / ``msg-recv`` / ``local-copy`` /
 ``reduction`` / ``scrubbed`` events), never directly on the stats.
 """
@@ -202,17 +203,23 @@ class CommEngine:
             self.apply_unpack(*payload)
 
     # ------------------------------------------------------------ reductions
-    def start_reduction(self, dt: DetailedTask) -> _t.Generator:
-        """Combine local patch values and post the allreduce (step 3d)."""
-        sched, st = self.sched, self.st
-        sched.lifecycle.transition(dt, TaskState.DISPATCHED)
-        sched.lifecycle.transition(dt, TaskState.RUNNING)
+    def reduction_partial(self, dt: DetailedTask) -> float:
+        """This rank's partial: ``reduction_op`` folded over its patches."""
+        sched, task = self.sched, dt.task
         partial = 0.0
-        if sched.real and dt.task.action is not None:
-            values = [dt.task.action(sched._ctx(p, st)) for p in sched.plan.patches]
+        if sched.real and task.action is not None:
+            values = [task.action(sched._ctx(p, self.st)) for p in sched.plan.patches]
             partial = values[0] if values else 0.0
             for v in values[1:]:
-                partial = dt.task.reduction_op(partial, v)
+                partial = task.reduction_op(partial, v)
+        return partial
+
+    def start_reduction(self, dt: DetailedTask) -> _t.Generator:
+        """Combine local patch values and post the allreduce (step 3d)."""
+        sched = self.sched
+        sched.lifecycle.transition(dt, TaskState.DISPATCHED)
+        sched.lifecycle.transition(dt, TaskState.RUNNING)
+        partial = self.reduction_partial(dt)
         yield from sched._mpe(
             "reduce-local", sched.costs.reduction_local_time(len(sched.plan.patches)), dt
         )

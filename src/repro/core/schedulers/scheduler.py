@@ -115,21 +115,6 @@ class SunwayScheduler(SchedulerCore):
         ctx = self._ctx(dt.patch, st)
         return lambda: dt.task.action(ctx)
 
-    def finish_task(self, st: StepContext, comm: CommEngine, dt: DetailedTask) -> None:
-        """Retire a completed task: publish effects, release dependents."""
-        self.lifecycle.retire(dt)
-        st.remaining.discard(dt.dt_id)
-        comm.flush_stash(dt)
-        graph = self.graph
-        for spec in graph.sends_after(dt):
-            comm.queue_send(spec)
-        for spec in graph.copies_after(dt):
-            comm.queue_copy(spec)
-        for dep in graph.dependents_of(dt):
-            st.tracker.release(dep.dt_id)
-        for label_name, pid in self.plan.old_reads.get(dt.dt_id, ()):
-            comm.consume_old(label_name, pid)
-
     def _run_mpe_task(self, st, comm, nxt: DetailedTask) -> _t.Generator:
         """(3d) small MPE-kind task: select, prepare, execute, finish."""
         self.lifecycle.transition(nxt, TaskState.DISPATCHED)

@@ -14,6 +14,8 @@ through :func:`make_policy` and never compare policy strings themselves.
 
 from __future__ import annotations
 
+from repro.core.graphtools import chain_depths
+
 
 class SelectionPolicy:
     """Base strategy: pre-scored max-wins selection over ready tasks.
@@ -68,26 +70,16 @@ class CriticalPathPolicy(SelectionPolicy):
     """Prefer the task heading the longest same-rank dependency chain.
 
     The score of a task is the number of tasks on the longest downstream
-    path it sits at the head of (itself included), computed by memoized
-    DFS over :meth:`~repro.core.taskgraph.TaskGraph.dependents_of`.
-    Dispatching chain heads first shortens the step's critical path when
-    kernels overlap with MPE work.
+    path it sits at the head of (itself included), from
+    :func:`~repro.core.graphtools.chain_depths`.  Dispatching chain heads
+    first shortens the step's critical path when kernels overlap with
+    MPE work.
     """
 
     name = "critical_path"
 
     def scores(self, graph, rank):
-        memo: dict[int, int] = {}
-
-        def depth(dt) -> int:
-            got = memo.get(dt.dt_id)
-            if got is None:
-                memo[dt.dt_id] = got = 1 + max(
-                    (depth(d) for d in graph.dependents_of(dt)), default=0
-                )
-            return got
-
-        return {dt.dt_id: depth(dt) for dt in graph.local_tasks(rank)}
+        return chain_depths(graph, graph.local_tasks(rank))
 
 
 POLICIES: dict[str, type[SelectionPolicy]] = {

@@ -13,7 +13,9 @@ This module models that scheduler so the claim is measurable: a
 :class:`~repro.core.schedulers.backends.HostThreadPoolBackend` pool of
 ``num_threads`` host worker threads executes ready tasks *and*
 interleaved communication work (ghost packing/unpacking, sends, local
-copies, reductions) from one shared run queue.  With several threads,
+copies, reductions) from one shared run queue; the communication items
+come from the same :class:`~repro.core.schedulers.commengine.CommEngine`
+the Sunway scheduler drains.  With several threads,
 communication hides behind computation; with the single thread Sunway's
 MPE affords, everything serializes — and the CPE cluster sits unused,
 because the Unified Scheduler predates the offload design.
@@ -32,9 +34,10 @@ from __future__ import annotations
 from repro.core.datawarehouse import DataWarehouse
 from repro.core.schedulers.backends import HostThreadPoolBackend
 from repro.core.schedulers.base import DeadlockError, SchedulerCore
+from repro.core.schedulers.commengine import CommEngine
 from repro.core.schedulers.lifecycle import TaskState
 from repro.core.task import DetailedTask, TaskKind
-from repro.core.taskgraph import CopySpec, MessageSpec
+from repro.core.taskgraph import MessageSpec
 
 
 class UnifiedHostScheduler(SchedulerCore):
@@ -43,12 +46,14 @@ class UnifiedHostScheduler(SchedulerCore):
     Parameters are those of :class:`SchedulerCore` plus ``num_threads``
     — the host cores available to worker threads.  On SW26010 that is 1
     (the MPE); Uintah's production machines give it 16-64.  The ``mode``
-    argument is ignored: this scheduler has exactly one behaviour,
-    Uintah's.
+    and ``scrub`` arguments are ignored: this scheduler has exactly one
+    behaviour, Uintah's, and this model of it has never scrubbed old-DW
+    variables.
     """
 
     def __init__(self, *args, num_threads: int = 1, **kwargs):
         kwargs["mode"] = "mpe_only"  # kernels run on host cores
+        kwargs["scrub"] = False
         super().__init__(*args, **kwargs)
         self.backend = HostThreadPoolBackend(num_threads)
 
@@ -86,7 +91,8 @@ class UnifiedHostScheduler(SchedulerCore):
         return wasted
 
     # The Unified Scheduler replaces the whole per-timestep loop: the
-    # worker pool drains one run queue of tasks and communication units.
+    # worker pool drains one run queue of tasks and the step's
+    # CommEngine work items.
     def execute_timestep(
         self,
         step: int,
@@ -96,55 +102,40 @@ class UnifiedHostScheduler(SchedulerCore):
         new_dw: DataWarehouse,
         bootstrap: bool = False,
     ):
-        sim, graph, rank = self.sim, self.graph, self.rank
+        sim, rank = self.sim, self.rank
         st = self._begin_step(step, time, dt_value, old_dw, new_dw, bootstrap)
         tracker = st.tracker
+        comm = CommEngine(self, st)
         pool = self.backend.start_step(sim, rank)
-        send_reqs: list = []
 
-        # -- unit builders -------------------------------------------------
-        def push_ready_tasks() -> None:
+        # -- run-queue feeder: (kind, payload, cost) units -----------------
+        def feed() -> None:
+            """Move queued comm items, then every ready task, onto the pool."""
+            while comm.work:
+                pool.push(comm.work.popleft())
             while tracker.any_ready:
                 dt = tracker.pop_ready()
                 self.lifecycle.transition(dt, TaskState.DISPATCHED, backend="host")
-                pool.push(("task", dt))
-
-        def push_send(spec: MessageSpec, from_bootstrap: bool = False) -> None:
-            if spec.cross_step and not from_bootstrap:
-                pool.push(("send", spec, st.next_tag_base, "new"))
-            else:
-                pool.push(("send", spec, st.tag_base, "old" if spec.cross_step else spec.dw))
+                pool.push(("task", dt, 0.0))
 
         def finish_task(dt: DetailedTask) -> None:
-            self.lifecycle.retire(dt)
-            st.remaining.discard(dt.dt_id)
-            for spec in graph.sends_after(dt):
-                push_send(spec)
-            for spec in graph.copies_after(dt):
-                pool.push(("copy", spec))
-            for dep in graph.dependents_of(dt):
-                tracker.release(dep.dt_id)
-            push_ready_tasks()
+            self.finish_task(st, comm, dt)
+            feed()
             pool.maybe_finish(not st.remaining)
 
         # -- communication watchers (event-driven, zero host cost) ---------
         def recv_watcher(spec: MessageSpec, req):
             payload = yield req.event
-            pool.push(("unpack", spec, payload))
+            comm.queue_unpack(spec, payload)
+            feed()
 
         for spec in self.plan.recvs:
             req = self.comm.irecv(source=spec.from_rank, tag=st.tag_base + spec.tag)
             sim.process(recv_watcher(spec, req), name=f"recvw-r{rank}")
 
-        for spec in graph.startup_sends(rank):
-            push_send(spec)
-        if bootstrap:
-            for spec in graph.bootstrap_sends(rank):
-                push_send(spec, from_bootstrap=True)
-        for spec in graph.startup_copies(rank):
-            pool.push(("copy", spec))
+        comm.queue_startup()
         self._carryover_sends = [r for r in self._carryover_sends if not r.complete]
-        push_ready_tasks()
+        feed()
 
         # -- worker thread bodies ------------------------------------------
         def thread_mpe(tid: int, name: str, cost: float):
@@ -167,12 +158,7 @@ class UnifiedHostScheduler(SchedulerCore):
                     task.mpe_action(self._ctx(dt.patch, st))
                 yield from thread_mpe(tid, f"mpe-part:{dt.name}", mpe_cost)
             if task.kind is TaskKind.REDUCTION:
-                partial = 0.0
-                if self.real and task.action is not None:
-                    vals = [task.action(self._ctx(p, st)) for p in self.plan.patches]
-                    partial = vals[0] if vals else 0.0
-                    for v in vals[1:]:
-                        partial = task.reduction_op(partial, v)
+                partial = comm.reduction_partial(dt)
                 yield from thread_mpe(
                     tid,
                     f"reduce:{dt.name}",
@@ -201,58 +187,14 @@ class UnifiedHostScheduler(SchedulerCore):
             finish_task(dt)
 
         def handle_unit(tid: int, unit):
-            kind = unit[0]
+            kind, payload, cost = unit
             if kind == "task":
-                yield from execute_task(tid, unit[1])
-            elif kind == "copy":
-                spec: CopySpec = unit[1]
-                yield from thread_mpe(tid, "copy", self.costs.pack_time(spec.ncells, remote=False))
-                self.lifecycle.emit("local-copy", spec.consumer)
-                if self.real:
-                    dw = st.dw_for(spec.dw)
-                    dw.get(spec.label, spec.to_patch).set_region(
-                        spec.region,
-                        dw.get(spec.label, spec.from_patch).get_region(spec.region),
-                    )
-                tracker.release(spec.consumer.dt_id)
-                push_ready_tasks()
-            elif kind == "send":
-                spec, tagb, src_dw = unit[1], unit[2], unit[3]
-                yield from thread_mpe(
-                    tid,
-                    "pack-send",
-                    self.costs.pack_time(spec.region.num_cells, remote=True)
-                    + self.costs.sched.send_post,
-                )
-                payload = None
-                if self.real:
-                    payload = (
-                        st.dw_for(src_dw)
-                        .get(spec.label, spec.from_patch)
-                        .get_region(spec.region)
-                    )
-                req = self.comm.isend(
-                    dest=spec.to_rank,
-                    tag=tagb + spec.tag,
-                    nbytes=spec.nbytes,
-                    payload=payload,
-                )
-                dest = self._carryover_sends if tagb == st.next_tag_base else send_reqs
-                dest.append(req)
-                self.lifecycle.emit("msg-sent", nbytes=spec.nbytes)
-            elif kind == "unpack":
-                spec, payload = unit[1], unit[2]
-                yield from thread_mpe(
-                    tid,
-                    "unpack",
-                    self.costs.pack_time(spec.region.num_cells, remote=True),
-                )
-                self.lifecycle.emit("msg-recv", spec.consumer, nbytes=spec.nbytes)
-                if self.real:
-                    dw = st.dw_for(spec.dw)
-                    dw.get(spec.label, spec.to_patch).set_region(spec.region, payload)
-                tracker.release(spec.consumer.dt_id)
-                push_ready_tasks()
+                yield from execute_task(tid, payload)
+                return
+            # a CommEngine work item: copy, send or unpack
+            yield from thread_mpe(tid, kind, cost)
+            comm.apply(kind, payload)
+            feed()
 
         pool.spawn_workers(handle_unit, lambda: not st.remaining)
 
@@ -266,6 +208,6 @@ class UnifiedHostScheduler(SchedulerCore):
                 f"{len(st.remaining)} tasks stuck"
             )
         pool.shutdown()
-        unfinished = [r for r in send_reqs if not r.complete]
+        unfinished = [r for r in comm.send_reqs if not r.complete]
         if unfinished:
             yield sim.all_of([r.event for r in unfinished])

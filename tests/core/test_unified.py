@@ -106,3 +106,89 @@ def test_paper_motivation_sunway_async_beats_unified_single_thread():
 
     boost = unified.time_per_step / sunway.time_per_step
     assert 2.0 < boost < 8.0
+
+
+# -- new-DW ghost exchange under several worker threads -------------------------
+
+def _new_dw_ghost_tasks():
+    """keepU; stage1: old u -> new a (ghosted); stage2: new a + ghosts -> b.
+
+    stage2 reads stage1's *new*-DW output across patch faces, so with
+    several worker threads a neighbour's ghost slab can arrive before
+    this patch's own stage1 has allocated ``a``.
+    """
+    from repro.core.task import Task, TaskKind
+    from repro.core.varlabel import VarLabel
+    from repro.sunway.corerates import KernelCost
+
+    u, a, b = VarLabel("u"), VarLabel("a"), VarLabel("b")
+    cost = KernelCost(stencil_flops=1, exp_calls=0)
+
+    def init(ctx):
+        var = ctx.new_dw.allocate_and_put(u, ctx.patch, ghosts=1)
+        rng = np.random.default_rng(ctx.patch.patch_id)
+        var.interior[...] = rng.random(var.interior.shape)
+
+    def keep_u(ctx):
+        var = ctx.new_dw.allocate_and_put(u, ctx.patch, ghosts=1)
+        var.interior[...] = ctx.old_dw.get(u, ctx.patch).interior
+
+    def stage1(ctx):
+        var = ctx.new_dw.allocate_and_put(a, ctx.patch, ghosts=1)
+        var.interior[...] = 2.0 * ctx.old_dw.get(u, ctx.patch).interior + 1.0
+
+    def stage2(ctx):
+        src = ctx.new_dw.get(a, ctx.patch).data
+        out = ctx.new_dw.allocate_and_put(b, ctx.patch, ghosts=0)
+        out.interior[...] = src[:-2, 1:-1, 1:-1] + src[2:, 1:-1, 1:-1] - src[1:-1, 1:-1, 1:-1]
+
+    t_init = Task("init", kind=TaskKind.MPE, action=init).computes_(u)
+    t_keep = Task("keepU", action=keep_u, kernel_cost=cost)
+    t_keep.requires_(u, dw="old").computes_(u)
+    t_s1 = Task("stage1", action=stage1, kernel_cost=cost)
+    t_s1.requires_(u, dw="old").computes_(a)
+    t_s2 = Task("stage2", action=stage2, kernel_cost=cost)
+    t_s2.requires_(a, dw="new", ghosts=1).computes_(b)
+    return [t_keep, t_s1, t_s2], [t_init]
+
+
+def _run_new_dw_ghosts(factory=None, validator=None):
+    grid = Grid(extent=(8, 8, 8), layout=(4, 1, 1))
+    tasks, init = _new_dw_ghost_tasks()
+    ctl = SimulationController(
+        grid, tasks, init, num_ranks=2, real=True,
+        scheduler_factory=factory, validator=validator,
+    )
+    return ctl.run(nsteps=2, dt=1e-3)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_new_dw_ghosts_arriving_early_match_sunway(threads):
+    """A ghost slab of ``a`` that arrives before its destination patch's
+    stage1 ran is stashed and applied on completion, as in the Sunway
+    scheduler, and the validator sees a clean schedule."""
+    from repro.verify import ScheduleValidator
+    from repro.verify.differential import fields_identical, fields_of
+
+    ref = fields_of(_run_new_dw_ghosts())
+    validator = ScheduleValidator()
+    got = fields_of(_run_new_dw_ghosts(
+        functools.partial(UnifiedHostScheduler, num_threads=threads), validator
+    ))
+    assert {"a@p1", "b@p1"} <= set(got)
+    assert fields_identical(ref, got)
+    assert validator.report()["num_violations"] == 0
+
+
+def test_scrub_stays_off():
+    """The unified model never scrubs old-DW variables, even when asked."""
+    grid = Grid(extent=(16, 16, 16), layout=(2, 2, 2))
+    prob = BurgersProblem(grid)
+    ctl = SimulationController(
+        grid, prob.tasks(), prob.init_tasks(), num_ranks=2, real=True,
+        scheduler_kwargs={"scrub": True},
+        scheduler_factory=functools.partial(UnifiedHostScheduler, num_threads=2),
+    )
+    res = ctl.run(nsteps=2, dt=prob.stable_dt())
+    assert res.stats.scrubbed == 0
+    assert all(sched.scrub is False for sched in ctl.schedulers)
