@@ -412,13 +412,16 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     from repro.harness.report import full_report
 
-    text = full_report(nsteps=args.nsteps, progress=lambda s: print(s, file=sys.stderr))
+    text, failed = full_report(nsteps=args.nsteps, progress=lambda s: print(s, file=sys.stderr))
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
         print(f"report written to {args.output}", file=sys.stderr)
     else:
         print(text)
+    if failed:
+        print(f"{len(failed)} paper claim(s) failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -575,7 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("report", help="regenerate the complete evaluation")
+    p = sub.add_parser(
+        "report",
+        help="regenerate the complete evaluation and check the paper's claims "
+        "(exit 1 if any fails)",
+    )
     p.add_argument("--nsteps", type=int, default=10)
     p.add_argument("--output", default=None, help="write to a file instead of stdout")
     p.set_defaults(fn=_cmd_report)

@@ -26,8 +26,8 @@ from repro.sunway.athread import CompletionFlag
 class InterferenceModel:
     """Accumulates MPE busy time overlapped with in-flight kernels.
 
-    ``on_mpe_busy`` is called for every charged MPE interval; while a
-    kernel is in flight the time adds to the debt pool, and the retiring
+    ``SunwayScheduler._mpe`` adds every charged MPE interval to the debt
+    pool (``overlap_busy``) while a kernel is in flight, and the retiring
     kernel pays ``factor * pool`` as extra duration.  With several CPE
     groups the pooled debt goes to whichever kernel retires first (a
     pooled approximation; exact with one group).
@@ -38,10 +38,6 @@ class InterferenceModel:
         #: True while at least one kernel is offloaded.
         self.kernel_inflight = False
         self.overlap_busy = 0.0
-
-    def on_mpe_busy(self, cost: float) -> None:
-        if self.kernel_inflight:
-            self.overlap_busy += cost
 
     def take_debt(self) -> float:
         """Drain the pool and return the debt the retiring kernel pays."""

@@ -11,8 +11,7 @@ self-contained, SimPy-flavoured discrete-event kernel:
 * :class:`~repro.des.event.Event`, :class:`~repro.des.event.Timeout`,
   :func:`~repro.des.event.all_of`, :func:`~repro.des.event.any_of` —
   the things a process can ``yield``.
-* :class:`~repro.des.resources.Resource` and
-  :class:`~repro.des.resources.Store` — contended-capacity primitives.
+* :class:`~repro.des.resources.Store` — a FIFO with blocking ``get``.
 
 The scheduler reproduction needs deterministic execution: given the same
 inputs the event order is fully reproducible (ties in time are broken by a
@@ -22,7 +21,7 @@ monotone sequence number, never by object identity).
 from repro.des.event import Event, Timeout, Interrupt, all_of, any_of
 from repro.des.process import Process
 from repro.des.simulator import Simulator
-from repro.des.resources import Resource, Store
+from repro.des.resources import Store
 
 __all__ = [
     "Event",
@@ -32,6 +31,5 @@ __all__ = [
     "any_of",
     "Process",
     "Simulator",
-    "Resource",
     "Store",
 ]

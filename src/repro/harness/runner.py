@@ -20,6 +20,8 @@ import dataclasses
 from repro.burgers.component import BurgersProblem
 from repro.core.noise import NoiseModel
 from repro.core.controller import SimulationController, RunResult
+from repro.core.costs import SunwayCostModel
+from repro.core.grid import Grid
 from repro.harness import calibration
 from repro.harness.problems import ProblemSetting, USABLE_BYTES_PER_CG
 from repro.harness.variants import Variant
@@ -107,7 +109,42 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-def _controller(problem, variant, num_cgs, with_reduction, noise, **kwargs):
+def burgers_controller(
+    grid: Grid,
+    num_cgs: int,
+    *,
+    mode: str = "async",
+    cost_model: SunwayCostModel | None = None,
+    real: bool = False,
+    fast_exp: bool = True,
+    **kwargs,
+) -> tuple[SimulationController, BurgersProblem]:
+    """A controller running the Burgers problem on ``grid``, and the problem.
+
+    Every experiment of the evaluation builds its job here: the
+    calibrated fabric and interference constants, and the calibrated
+    cost model of the non-vectorized kernel unless ``cost_model`` says
+    otherwise.  ``fast_exp`` picks the exponential the *real* numerics
+    evaluate; model-mode timings come from the cost model alone.
+    Remaining ``kwargs`` go to :class:`SimulationController`.
+    """
+    burgers = BurgersProblem(grid, fast_exp=fast_exp)
+    kwargs.setdefault("scheduler_kwargs", calibration.scheduler_kwargs())
+    controller = SimulationController(
+        grid,
+        burgers.tasks(),
+        burgers.init_tasks(),
+        num_ranks=num_cgs,
+        mode=mode,
+        cost_model=cost_model if cost_model is not None else calibration.cost_model(),
+        real=real,
+        fabric_config=calibration.FABRIC,
+        **kwargs,
+    )
+    return controller, burgers
+
+
+def _controller(problem, variant, num_cgs, noise, **kwargs):
     """A model-mode controller for one case, and the problem's stable dt."""
     if num_cgs < problem.min_cgs:
         raise ValueError(
@@ -118,17 +155,11 @@ def _controller(problem, variant, num_cgs, with_reduction, noise, **kwargs):
     sched_kwargs["select_policy"] = variant.select_policy
     if noise is not None:
         sched_kwargs["noise"] = noise
-    grid = problem.grid()
-    burgers = BurgersProblem(grid, fast_exp=True, with_reduction=with_reduction)
-    controller = SimulationController(
-        grid,
-        burgers.tasks(),
-        burgers.init_tasks(),
-        num_ranks=num_cgs,
+    controller, burgers = burgers_controller(
+        problem.grid(),
+        num_cgs,
         mode=variant.mode,
         cost_model=variant.cost_model(),
-        real=False,
-        fabric_config=calibration.FABRIC,
         scheduler_kwargs=sched_kwargs,
         memory_limit_bytes=USABLE_BYTES_PER_CG,
         **kwargs,
@@ -142,7 +173,6 @@ def run_experiment(
     num_cgs: int,
     nsteps: int = DEFAULT_NSTEPS,
     repeats: int = 1,
-    with_reduction: bool = True,
     noise: NoiseModel | None = None,
 ) -> ExperimentResult:
     """Run (or recall) one experimental case; returns its measurements.
@@ -158,7 +188,6 @@ def run_experiment(
         variant.select_policy,
         num_cgs,
         nsteps,
-        with_reduction,
         repeats,
         noise,
     )
@@ -169,7 +198,7 @@ def run_experiment(
     best: RunResult | None = None
     for rep in range(max(repeats, 1)):
         rep_noise = None if noise is None else dataclasses.replace(noise, seed=noise.seed + rep)
-        controller, dt = _controller(problem, variant, num_cgs, with_reduction, rep_noise)
+        controller, dt = _controller(problem, variant, num_cgs, rep_noise)
         res = controller.run(nsteps=nsteps, dt=dt)
         if best is None or res.time_per_step < best.time_per_step:
             best = res
@@ -185,7 +214,6 @@ def run_instrumented(
     variant: Variant,
     num_cgs: int,
     nsteps: int = DEFAULT_NSTEPS,
-    with_reduction: bool = True,
     noise: NoiseModel | None = None,
     created_at: str | None = None,
 ) -> InstrumentedRun:
@@ -203,7 +231,7 @@ def run_instrumented(
 
     telemetry = RunTelemetry()
     controller, dt = _controller(
-        problem, variant, num_cgs, with_reduction, noise, trace_enabled=True, telemetry=telemetry
+        problem, variant, num_cgs, noise, trace_enabled=True, telemetry=telemetry
     )
     result = controller.run(nsteps=nsteps, dt=dt)
     manifest = {

@@ -1,8 +1,9 @@
 """Regenerate every table of the paper's evaluation.
 
 Each ``table*_data`` function returns structured rows; each ``table*``
-function renders them as aligned text.  Benchmarks call the data
-functions (and print the rendered form); EXPERIMENTS.md records the
+function renders them as aligned text.  ``repro report`` prints the
+rendered form and checks the paper's claims against the data functions
+(:mod:`repro.harness.claims`); EXPERIMENTS.md records the
 paper-vs-measured comparison.
 """
 

@@ -3,7 +3,7 @@
 These anchor the reproduction to the paper's quantitative landmarks at
 the full 10-step protocol.  If a cost-model or scheduler change moves
 any of them outside the stated bands, this file fails before the
-benchmark suite does — treat that as a calibration regression, not a
+paper claims of ``repro report`` do — treat that as a calibration regression, not a
 tolerance to widen casually.
 
 Paper anchors:

@@ -1,7 +1,9 @@
 """Tests for table/figure generators and the report formatter.
 
-Shape assertions at paper scale live in benchmarks/; these tests check
-the generators' structure quickly (1-step runs, subset of problems).
+The paper-scale shape assertions are the claims of
+:mod:`repro.harness.claims`, judged by ``repro report``; these tests
+check the generators' structure quickly (1-step runs, subset of
+problems).
 """
 
 import pytest
@@ -112,5 +114,16 @@ def test_report_sections_cover_all_tables_and_figures():
     assert titles == [
         "Table I", "Table II", "Table III", "Table IV", "Figure 5",
         "Table V", "Table VI", "Table VII", "Figures 6-8", "Figure 9",
-        "Figure 10",
+        "Figure 10", "Sec. II motivation", "Sec. VI-C exp library",
+        "Sec. IX future work", "Weak scaling", "Convergence",
     ]
+
+
+def test_claim_ids_unique_and_sections_known():
+    from repro.harness.claims import CLAIMS
+    from repro.harness.report import SECTIONS
+
+    ids = [c.id for c in CLAIMS]
+    assert len(ids) == len(set(ids)) == 57
+    titles = {t for t, _ in SECTIONS}
+    assert {c.section for c in CLAIMS} <= titles

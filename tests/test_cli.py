@@ -92,14 +92,40 @@ def test_missing_command():
         main([])
 
 
+#: The claims that need the paper's 10 timesteps: at 1 step the transient
+#: shifts Table V's efficiencies and the Figs. 6-8 boosts out of their bands.
+MULTI_STEP_CLAIMS = {
+    "table5.band",
+    "table5.large_simd_async",
+    "fig678.total_band",
+    "fig678.simd_extra_band",
+}
+
+
 def test_report_to_file(tmp_path, capsys):
+    from repro.harness.claims import CLAIMS
+
     out = tmp_path / "report.txt"
-    assert main(["report", "--nsteps", "1", "--output", str(out)]) == 0
+    assert main(["report", "--nsteps", "1", "--output", str(out)]) == 1
     text = out.read_text()
-    for title in ("Table I", "Table V", "Fig. 9", "Fig. 10"):
+    for title in (
+        "Table I", "Table V", "Fig. 9", "Fig. 10", "Sec. II motivation",
+        "exponential library (Sec. VI-C)", "Sec. IX future-work", "weak scaling",
+        "L2 error vs resolution", "Paper claims: 53 of 57 hold",
+    ):
         assert title in text
+    verdicts = {}
+    for line in text.splitlines():
+        fields = line.split()
+        if fields and fields[0] in {c.id for c in CLAIMS}:
+            verdicts[fields[0]] = fields[-1]
+    assert len(verdicts) == len(CLAIMS) == 57
+    failed = {cid for cid, v in verdicts.items() if v == "FAIL"}
+    assert failed == MULTI_STEP_CLAIMS
+    assert all(v == "PASS" for cid, v in verdicts.items() if cid not in failed)
     err = capsys.readouterr().err
     assert "generating" in err
+    assert "4 paper claim(s) failed" in err
 
 
 def test_profile(capsys):
